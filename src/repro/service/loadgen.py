@@ -29,12 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.service.shm import (
-    OP_DELETE,
-    OP_INSERT,
-    OP_STOP,
-    ServiceSegment,
-)
+from repro.service.shm import OP_DELETE, OP_INSERT, ServiceSegment
 from repro.utils.rngtools import as_generator, spawn_seeds
 
 _NS = 1_000_000_000
@@ -358,45 +353,11 @@ def run_loadgen(
                 segment, router, worker_id, op, label, clock, intended_ns,
                 rings, pick, dead_after_ns, deadline_s, boot_ns,
             )
-        # Close out every lane this worker owns, even on shards it never
-        # routed to — the owner waits for a STOP from each lane.
-        _broadcast_stop(segment, rings, clock, deadline_s, dead_after_ns, boot_ns)
+        # No STOPs from here: once every loadgen has exited, the parent
+        # STOPs each lane of every live owner (server._stop_owners).
         return len(stripe)
     finally:
         segment.close()
-
-
-def _broadcast_stop(
-    segment: ServiceSegment,
-    rings,
-    clock: int,
-    deadline_s: float,
-    dead_after_ns: int,
-    boot_ns: int,
-) -> None:
-    """STOP every lane this worker owns, within one cluster-wide budget.
-
-    The old per-shard loop burned a full ``deadline_s`` per dead shard
-    waiting for a STOP nobody would read.  Here dead shards are skipped
-    the moment their heartbeat says so, and ``deadline_s`` caps the
-    *total* wait across the cluster rather than compounding per shard.
-    """
-    deadline = time.monotonic() + deadline_s
-    pending = set(range(len(rings)))
-    while pending:
-        progressed = False
-        for shard in sorted(pending):
-            if _looks_dead(segment, shard, dead_after_ns, boot_ns):
-                pending.discard(shard)  # dead owner: nobody will read it
-                progressed = True
-                continue
-            if rings[shard].try_push(OP_STOP, 0, clock, 0, 0):
-                pending.discard(shard)
-                progressed = True
-        if not pending or time.monotonic() > deadline:
-            return
-        if not progressed:
-            time.sleep(0.0002)
 
 
 def loadgen_main(kwargs: dict) -> None:

@@ -215,6 +215,12 @@ def summarize(
     measured = merged[merged[:, 4] > 0]
     lat = measured[:, 5] - measured[:, 4]
     is_insert = measured[:, 1] == EV_INSERT
+    # Throughput counts offered ops over their own span: earliest intended
+    # start to latest completion (no prefill, start offset or teardown).
+    span_s = (
+        float(measured[:, 5].max() - measured[:, 4].min()) / 1e9 if measured.size else 0.0
+    )
+    offered_by_shard = np.bincount(measured[:, 0], minlength=n_shards)
     summary = {
         "ops_offered": schedule.ops,
         "ops_processed": total_ops - len(schedule.prefill_labels),
@@ -223,12 +229,9 @@ def summarize(
         "empties": empties,
         "span_s": schedule.span_s,
         "wall_s": wall_s,
-        "throughput_ops_s": total_ops / wall_s if wall_s > 0 else 0.0,
+        "throughput_ops_s": measured.shape[0] / span_s if span_s > 0 else 0.0,
         "per_shard_ops_s": [
-            (row["inserts"] + row["deletes"] + row["empties"]) / wall_s
-            if wall_s > 0
-            else 0.0
-            for row in per_shard
+            int(count) / span_s if span_s > 0 else 0.0 for count in offered_by_shard
         ],
         "per_shard": per_shard,
     }
@@ -275,25 +278,8 @@ def conservation_audit(
         snap = segment.snapshot(s).read()
         journal = segment.journal(s)
         journal.recover()
-        events = segment.event_ring(s)
-        events.recover()
         entries = journal.scan()
-        state = replay_journal(snap, entries, events.head)
-
-        # Per-lane request-position monotonicity over the surviving
-        # (non-fenced, post-fold) suffix, seeded from the snapshot's
-        # watermarks — the double-serve detector.
-        next_expected = list(snap.watermarks)
-        max_epoch = snap.epoch
-        monotone = True
-        for e in entries:
-            if e.pos < snap.fold_pos or e.epoch < max_epoch:
-                continue
-            max_epoch = max(max_epoch, e.epoch)
-            if e.reqpos < next_expected[e.lane]:
-                monotone = False
-            next_expected[e.lane] = max(next_expected[e.lane], e.reqpos + 1)
-
+        state = replay_journal(snap, entries)
         collected = events_by_shard[s]
         seen = {
             kind: sum(1 for ev in collected if ev[0] == kind)
@@ -318,7 +304,7 @@ def conservation_audit(
                 "replayed": state.replayed,
                 "epoch_regressions": state.fenced_entries,
                 "conserved": conserved,
-                "monotone": monotone,
+                "monotone": state.monotone,
                 "collected": seen,
                 "events_match": events_match,
             }

@@ -15,6 +15,8 @@ from __future__ import annotations
 import bisect
 import heapq
 import multiprocessing
+import multiprocessing.connection
+import os
 import sys
 import threading
 import time
@@ -26,10 +28,10 @@ import numpy as np
 from repro.core.policies import biased_insert_probs
 from repro.service.loadgen import ArrivalSchedule, ScheduleSpec, loadgen_main
 from repro.service.shm import (
-    EV_BYE,
     EV_DELETE,
     EV_EMPTY,
     EV_INSERT,
+    J_BYE,
     J_STOP,
     JournalEntry,
     FencedOwnerError,
@@ -190,20 +192,20 @@ class RecoveredState:
     cum_empties: int
     fenced_entries: int  # journal entries skipped for a regressed epoch
     replayed: int  # journal entries applied on top of the snapshot
-    reemit: List[Tuple[int, int, int, int]]  # (ev, label, clock, t0_ns): journaled, never published
+    monotone: bool  # no replayed request position dips below its lane's watermark
 
 
-def replay_journal(
-    snap, entries: Sequence[JournalEntry], ev_head: int
-) -> RecoveredState:
+def replay_journal(snap, entries: Sequence[JournalEntry]) -> RecoveredState:
     """Fold journal ``entries`` past the snapshot's fold point into state.
 
     Pure function of shm content so the conservation auditor can run the
-    identical replay out-of-process.  Entries whose epoch regresses below
-    an already-seen epoch are zombie commits and are skipped (they could
-    only exist if fencing failed; the auditor counts them).  ``ev_head``
-    is the recovered event-ring head: journaled events at or past it were
-    never published and must be re-emitted by the successor.
+    identical replay out-of-process.  Entries below the fold point are
+    already in the snapshot (the journal keeps them until the collector
+    has read them).  Entries whose epoch regresses below an already-seen
+    epoch are zombie commits and are skipped (they could only exist if
+    fencing failed; the auditor counts them).  ``monotone`` is false if a
+    replayed request position is below its lane's watermark — a request
+    applied twice.
     """
     heap = [int(x) for x in snap.labels]
     heapq.heapify(heap)
@@ -215,7 +217,7 @@ def replay_journal(
     )
     max_epoch = snap.epoch
     fenced = replayed = 0
-    reemit: List[Tuple[int, int, int, int]] = []
+    monotone = True
     for e in entries:
         if e.pos < snap.fold_pos:
             continue  # already folded into the snapshot labels
@@ -225,6 +227,9 @@ def replay_journal(
         max_epoch = max(max_epoch, e.epoch)
         replayed += 1
         clock = max(clock, e.clock)
+        if e.op == J_BYE:
+            continue  # carries no request: leaves the watermarks alone
+        monotone = monotone and e.reqpos >= watermarks[e.lane]
         watermarks[e.lane] = max(watermarks[e.lane], e.reqpos + 1)
         if e.op == EV_INSERT:
             heapq.heappush(heap, e.label)
@@ -241,12 +246,10 @@ def replay_journal(
             cum_empties += 1
         elif e.op == J_STOP:
             stopped[e.lane] = True
-        if e.op != J_STOP and e.evpos >= ev_head:
-            reemit.append((e.op, e.label, e.clock, e.t0_ns))
     return RecoveredState(
         heap=heap, clock=clock, stopped=stopped, watermarks=watermarks,
         cum_inserts=cum_inserts, cum_deletes=cum_deletes, cum_empties=cum_empties,
-        fenced_entries=fenced, replayed=replayed, reemit=reemit,
+        fenced_entries=fenced, replayed=replayed, monotone=monotone,
     )
 
 
@@ -255,30 +258,32 @@ def recover_shard_state(segment: ServiceSegment, shard: int) -> RecoveredState:
     snap = segment.snapshot(shard).read()
     journal = segment.journal(shard)
     journal.recover()
-    events = segment.event_ring(shard)
-    events.recover()
-    return replay_journal(snap, journal.scan(), events.head)
+    return replay_journal(snap, journal.scan())
 
 
 def run_shard_owner(
     segment_name: str, shard: int, poll_s: float = 0.0002, snapshot_every: int = 1024
 ) -> int:
-    """Own one shard: drain request lanes into a heap, emit events.
+    """Own one shard: drain request lanes into a heap, journal every op.
 
     Every applied request is journaled (commit = the op's linearization
-    point) *before* the heap mutation, the request slot recycle, and the
-    event publish, and the heap is snapshotted every ``snapshot_every``
-    ops — so a successor can rebuild this owner's exact state after a
-    SIGKILL at any instruction.  A virgin start is just recovery of the
-    empty snapshot.  The owner re-checks the header epoch at every
-    commit point; observing a newer epoch means a successor already took
-    over, and the owner dies with :class:`FencedOwnerError` without
-    committing anything further.
+    point, and the collector's only source of events) *before* the heap
+    mutation and the request slot recycle, and the heap is snapshotted
+    every ``snapshot_every`` ops — so a successor can rebuild this
+    owner's exact state after a SIGKILL at any instruction.  A virgin
+    start is just recovery of the empty snapshot.  The owner re-checks
+    the header epoch at every commit point; observing a newer epoch
+    means a successor already took over, and the owner dies with
+    :class:`FencedOwnerError` without committing anything further.
 
-    Exits when every lane has sent ``OP_STOP``.  Publishes the header
-    (top, size, heartbeat) after every sweep so routers and liveness
-    probes see fresh state.  Returns the residual heap size.
+    Exits when every lane has sent ``OP_STOP``: journals ``J_BYE``,
+    waits until the collector has read the whole journal, and folds it
+    away.  Also exits (``SystemExit``) when its parent process is gone.
+    Publishes the header (top, size, heartbeat) after every sweep so
+    routers and liveness probes see fresh state.  Returns the residual
+    heap size.
     """
+    parent = os.getppid()
     segment = ServiceSegment.attach(segment_name)
     try:
         header = segment.header(shard)
@@ -292,8 +297,6 @@ def run_shard_owner(
             # which the drain loop below never visits again.
             while ring.tail < state.watermarks[lane_id] and ring.try_peek() is not None:
                 ring.advance()
-        events = segment.event_ring(shard)
-        events.recover()
         journal = segment.journal(shard)
         journal.recover()
         snapshot = segment.snapshot(shard)
@@ -305,6 +308,7 @@ def run_shard_owner(
         cum_inserts = state.cum_inserts
         cum_deletes = state.cum_deletes
         cum_empties = state.cum_empties
+        fold_pos = journal.tail
         since_snapshot = 0
 
         def fenced() -> bool:
@@ -324,44 +328,51 @@ def run_shard_owner(
                 heartbeat_ns=time.monotonic_ns(),
             )
 
-        def emit(ev: int, label: int, ev_clock: int, t0_ns: int, t1_ns: int) -> None:
-            # The event ring has a single consumer (the collector); if it
-            # falls behind, wait — but keep the heartbeat fresh so the
-            # backpressure is not mistaken for death.  A fenced zombie
-            # must not keep refreshing a header it no longer owns.
-            while not events.try_push(ev, label, ev_clock, t0_ns, t1_ns):
-                check_fence()
-                publish()
-                time.sleep(poll_s)
+        def wait() -> None:
+            # Idle or backpressured: keep the heartbeat fresh so the wait
+            # is not mistaken for death — but a fenced zombie must not
+            # refresh a header it no longer owns, and an orphan must not
+            # spin forever.
+            check_fence()
+            if os.getppid() != parent:
+                raise SystemExit(f"shard {shard} owner orphaned: parent {parent} exited")
+            publish()
+            time.sleep(poll_s)
+
+        def truncate() -> None:
+            # Recycle only what is both folded and collected.
+            journal.truncate_to(min(fold_pos, journal.cursor()))
 
         def take_snapshot() -> None:
+            nonlocal fold_pos
             check_fence()
             snapshot.write(
                 epoch=epoch, clock=clock, fold_pos=journal.head,
-                ev_head=events.head, cum_inserts=cum_inserts,
-                cum_deletes=cum_deletes, cum_empties=cum_empties,
+                cum_inserts=cum_inserts, cum_deletes=cum_deletes,
+                cum_empties=cum_empties,
                 stopped_mask=sum(1 << i for i, s in enumerate(stopped) if s),
                 watermarks=watermarks, labels=heap,
             )
-            journal.truncate_to(journal.head)
+            fold_pos = journal.head
+            truncate()
 
         def journal_op(
-            ev: int, label: int, op_clock: int, t0_ns: int,
-            lane_id: int, reqpos: int, evpos: int,
+            ev: int, label: int, op_clock: int, t0_ns: int, lane_id: int, reqpos: int
         ) -> None:
             while not journal.try_append(
-                ev, label, op_clock, t0_ns, lane_id, reqpos, evpos, epoch,
-                fence=fenced,
+                ev, label, op_clock, t0_ns, lane_id, reqpos, time.monotonic_ns(),
+                epoch, fence=fenced,
             ):
-                take_snapshot()  # folds the journal, freeing every slot
+                if fold_pos < journal.head:
+                    take_snapshot()  # fold, freeing whatever was collected
+                else:
+                    wait()  # folded but not yet collected: the collector lags
+                    truncate()
 
-        # A successor first re-publishes ownership, then re-emits the
-        # journaled events its predecessor applied but never published —
-        # they land at exactly the event positions the journal recorded.
+        # A successor first re-publishes ownership, then folds the
+        # replayed suffix: recovery is idempotent.
         publish()
-        for ev, label, ev_clock, t0_ns in state.reemit:
-            emit(ev, label, ev_clock, t0_ns, time.monotonic_ns())
-        take_snapshot()  # fold the replayed suffix: recovery is idempotent
+        take_snapshot()
 
         while not all(stopped):
             check_fence()
@@ -385,40 +396,27 @@ def run_shard_owner(
                     processed += 1
                     since_snapshot += 1
                     if op == OP_INSERT:
-                        journal_op(
-                            EV_INSERT, label, clock, t0_ns, lane_id, reqpos,
-                            events.head,
-                        )
+                        journal_op(EV_INSERT, label, clock, t0_ns, lane_id, reqpos)
                         heapq.heappush(heap, label)
                         cum_inserts += 1
                         watermarks[lane_id] = reqpos + 1
                         ring.advance()
                         publish()  # per-op: stale tops make two-choice herd
-                        emit(EV_INSERT, label, clock, t0_ns, time.monotonic_ns())
                     elif op == OP_DELETE:
                         if heap:
-                            popped = heap[0]
-                            journal_op(
-                                EV_DELETE, popped, clock, t0_ns, lane_id, reqpos,
-                                events.head,
-                            )
+                            journal_op(EV_DELETE, heap[0], clock, t0_ns, lane_id, reqpos)
                             heapq.heappop(heap)
                             cum_deletes += 1
                             watermarks[lane_id] = reqpos + 1
                             ring.advance()
                             publish()
-                            emit(EV_DELETE, popped, clock, t0_ns, time.monotonic_ns())
                         else:
-                            journal_op(
-                                EV_EMPTY, -1, clock, t0_ns, lane_id, reqpos,
-                                events.head,
-                            )
+                            journal_op(EV_EMPTY, -1, clock, t0_ns, lane_id, reqpos)
                             cum_empties += 1
                             watermarks[lane_id] = reqpos + 1
                             ring.advance()
-                            emit(EV_EMPTY, -1, clock, t0_ns, time.monotonic_ns())
                     elif op == OP_STOP:
-                        journal_op(J_STOP, 0, clock, t0_ns, lane_id, reqpos, -1)
+                        journal_op(J_STOP, 0, clock, t0_ns, lane_id, reqpos)
                         stopped[lane_id] = True
                         watermarks[lane_id] = reqpos + 1
                         ring.advance()
@@ -426,11 +424,16 @@ def run_shard_owner(
                     if since_snapshot >= snapshot_every:
                         take_snapshot()
                         since_snapshot = 0
-            publish()
-            if processed == 0:
-                time.sleep(poll_s)
-        take_snapshot()  # durable goodbye: journal folded, heap preserved
-        emit(EV_BYE, len(heap), clock + 1, 0, time.monotonic_ns())
+            if processed:
+                publish()
+            else:
+                wait()
+        # Durable goodbye: the collector reads J_BYE last, then the whole
+        # journal folds away (nothing left pending).
+        journal_op(J_BYE, len(heap), clock + 1, 0, 0, 0)
+        while journal.cursor() < journal.head:
+            wait()
+        take_snapshot()
         publish()
         return len(heap)
     finally:
@@ -505,7 +508,14 @@ class ServiceCluster:
         return proc
 
     def alive(self) -> List[bool]:
-        return [p.is_alive() for p in self.processes]
+        """Which current owners are still running, read from each process
+        sentinel: unlike ``Process.is_alive`` this never reaps, so a
+        thread polling it cannot steal the exit code :meth:`join` reports.
+        """
+        exited = multiprocessing.connection.wait(
+            [p.sentinel for p in self.processes], timeout=0
+        )
+        return [p.sentinel not in exited for p in self.processes]
 
     def retired_exitcodes(self) -> List[dict]:
         return [
@@ -527,13 +537,18 @@ class ServiceCluster:
 
 
 class EventCollector(threading.Thread):
-    """Single consumer of every shard's event ring.
+    """The single reader of every shard's commit journal.
 
-    Runs in the parent while the service is live so bounded event rings
-    never become the bottleneck.  A shard is finished when it sends
-    ``EV_BYE`` (clean) or its owner died with nothing left to drain —
-    unless a supervisor is active, in which case a dead owner is about
-    to be respawned and the shard stays live until its eventual BYE.
+    Runs in the parent while the service is live.  Each journal is
+    tailed from its shm cursor, and the cursor is published after every
+    batch so the owner can truncate what was read; because the owner
+    never recycles an unread entry, every committed op is collected
+    exactly once, across any number of takeovers.  Zombie entries (epoch
+    regressed) are skipped by the same rule as :func:`replay_journal`.
+    A shard is finished at its ``J_BYE`` (clean) or when its owner died
+    with nothing left to read — unless a supervisor is active, in which
+    case a dead owner is about to be respawned and the shard stays live
+    until its eventual BYE.
     """
 
     def __init__(
@@ -558,33 +573,39 @@ class EventCollector(threading.Thread):
         return self._supervisor is not None and self._supervisor.active
 
     def run(self) -> None:
-        rings = [self._segment.event_ring(s) for s in range(self._segment.shards)]
-        live = [True] * self._segment.shards
+        shards = self._segment.shards
+        journals = [self._segment.journal(s) for s in range(shards)]
+        cursors = [journal.cursor() for journal in journals]
+        max_epoch = [0] * shards
+        live = [True] * shards
         while any(live):
             progressed = False
             owners_alive = self._cluster.alive()
-            for s in range(self._segment.shards):
+            for s in range(shards):
                 if not live[s]:
                     continue
-                drained_any = False
+                start = cursors[s]
                 for _ in range(4 * OWNER_BATCH):
-                    ev = rings[s].try_pop()
-                    if ev is None:
+                    e = journals[s].read(cursors[s])
+                    if e is None:
                         break
-                    drained_any = True
-                    if ev[0] == EV_BYE:
-                        self.residual_sizes[s] = ev[1]
+                    cursors[s] += 1
+                    if e.epoch < max_epoch[s]:
+                        continue  # unfenced zombie commit
+                    max_epoch[s] = e.epoch
+                    if e.op == J_BYE:
+                        self.residual_sizes[s] = e.label
                         live[s] = False
                         break
-                    self.events_by_shard[s].append(ev)
-                progressed = progressed or drained_any
-                if (
-                    live[s]
-                    and not drained_any
-                    and not owners_alive[s]
-                    and not self._supervised()
-                ):
-                    live[s] = False  # killed owner, ring fully drained, no respawn coming
+                    if e.op != J_STOP:
+                        self.events_by_shard[s].append(
+                            (e.op, e.label, e.clock, e.t0_ns, e.t1_ns)
+                        )
+                if cursors[s] != start:
+                    journals[s].set_cursor(cursors[s])
+                    progressed = True
+                elif not owners_alive[s] and not self._supervised():
+                    live[s] = False  # killed owner, journal fully read, no respawn coming
             if not progressed:
                 time.sleep(0.0005)
 
@@ -622,54 +643,23 @@ def _prefill(
 
 
 def _stop_owners(
-    segment: ServiceSegment,
-    timeout_s: float = 10.0,
-    dead_after_s: Optional[float] = None,
+    segment: ServiceSegment, cluster: ServiceCluster, timeout_s: float = 10.0
 ) -> None:
-    """Send the control lane's STOP to every shard.
+    """STOP every lane of every shard whose owner is still running.
 
-    ``timeout_s`` caps the *cluster-wide* wait (not per shard: N dead
-    owners must not cost N timeouts), and shards whose heartbeat is
-    already ``dead_after_s`` stale are skipped outright — a full ring on
-    a dead owner would otherwise burn the whole budget for nothing.
-    """
-    lane = segment.lanes - 1
-    deadline = time.monotonic() + timeout_s
-    for s in range(segment.shards):
-        if dead_after_s is not None:
-            heartbeat_ns = segment.header(s).read()[3]
-            age_s = (time.monotonic_ns() - heartbeat_ns) / _NS
-            if heartbeat_ns == 0 or age_s > dead_after_s:
-                continue  # dead (or never-born) owner: nobody to stop
-        ring = segment.request_ring(s, lane)
-        ring.recover()  # prefill advanced this lane's position
-        while not ring.try_push(OP_STOP, 0, 0, 0, 0):
-            if time.monotonic() > deadline:
-                break  # owner dead and ring full: nobody left to stop
-            time.sleep(0.0002)
-
-
-def _finish_stops(segment: ServiceSegment, timeout_s: float = 10.0) -> None:
-    """Deliver the STOPs the loadgens gave up on (supervised shutdown).
-
-    A loadgen skips a shard that is dead at broadcast time, but a
-    supervised cluster respawns it — and a successor that never sees its
-    STOPs runs forever.  By the time this sweep runs the loadgens have
-    exited, so each lane ring has a single producer again: the parent
-    recovers the producer position and pushes the missing STOP.  Whether
-    a STOP was already delivered is read from the lane's final slot
-    (:meth:`SlotRing.last_op`): a loadgen never pushes past its STOP, so
-    the last payload ever written tells the whole story even after the
-    slot was consumed and recycled.
+    The parent is the only process that sends STOPs, and it does so once
+    the loadgens have exited: each lane ring then has a single producer
+    again, so the parent recovers the producer position and pushes.
+    Only an owner the parent sees dead is skipped, never one whose
+    heartbeat merely looks stale — a live owner that misses one STOP
+    never exits.  ``timeout_s`` caps the cluster-wide wait.
     """
     deadline = time.monotonic() + timeout_s
     for s in range(segment.shards):
-        for lane in range(segment.lanes - 1):  # control lane: _stop_owners
+        for lane in range(segment.lanes):
             ring = segment.request_ring(s, lane)
             ring.recover()
-            if ring.last_op() == OP_STOP:
-                continue
-            while not ring.try_push(OP_STOP, 0, 0, 0, 0):
+            while cluster.alive()[s] and not ring.try_push(OP_STOP, 0, 0, 0, 0):
                 if time.monotonic() > deadline:
                     break
                 time.sleep(0.0002)
@@ -684,7 +674,6 @@ def run_service(
     policy: str = "mq",
     seed: int = 0,
     req_capacity: int = 2048,
-    ev_capacity: int = 8192,
     journal_capacity: int = 8192,
     state_capacity: Optional[int] = None,
     snapshot_every: int = 1024,
@@ -717,7 +706,7 @@ def run_service(
         state_capacity = spec.prefill + (spec.ops + 1) // 2 + 8
     segment = ServiceSegment.create(
         shards, lanes=workers + 1, req_capacity=req_capacity,
-        ev_capacity=ev_capacity, journal_capacity=journal_capacity,
+        journal_capacity=journal_capacity,
         state_capacity=state_capacity,
     )
     cluster = ServiceCluster(segment, poll_s=poll_s, snapshot_every=snapshot_every)
@@ -801,8 +790,7 @@ def run_service(
             supervisor.await_healthy(timeout_s=30.0)
             supervisor.stop()
             supervisor.join(timeout=30.0)
-            _finish_stops(segment)
-        _stop_owners(segment, dead_after_s=dead_after_s if supervisor is None else None)
+        _stop_owners(segment, cluster)
         owner_exits = cluster.join(timeout_s=30.0)
         collector.join(timeout=30.0)
         wall_s = (time.monotonic_ns() - wall_start) / _NS

@@ -1,8 +1,8 @@
 """Shared-memory ring shards: the wire format of the live service.
 
 One ``multiprocessing.shared_memory`` segment holds everything the
-service's processes exchange: per-shard request lanes, per-shard event
-rings, and per-shard headers publishing the queue top for two-choice
+service's processes exchange: per-shard request lanes, per-shard commit
+journals, and per-shard headers publishing the queue top for two-choice
 routing.  Three protocols live here, all designed so that a SIGKILLed
 process can never corrupt what a survivor reads:
 
@@ -30,23 +30,24 @@ TSO/release semantics keep that order visible across processes.)
 **Header seqlock + fencing epoch.**  Each shard header publishes
 ``(top, size, heartbeat)`` under a seqlock (odd = write in progress) so
 routers can read two shard tops without locks, and carries a fencing
-``epoch`` bumped by every new owner generation — events stamped with a
-stale epoch are from a zombie predecessor and can be fenced.
+``epoch`` bumped by every new owner generation — journal entries
+stamped with a stale epoch are from a zombie predecessor and are fenced.
 
-**Durable shard state (journal + snapshot).**  Each shard also owns a
-commit *journal* — a ring of applied operations under the same
-claim/commit protocol, each entry stamped with the owner's fencing
-epoch, the request's ``(lane, position)`` identity, and the event-ring
-position its event was (or will be) published at — plus a double-
-buffered heap *snapshot* committed by a single atomic buffer-index
-flip.  Together they make the owner's private heap reconstructible
-after a SIGKILL at any instruction: replay the active snapshot, then
-every journal entry past its fold point.  The ``(lane, position)``
-identity dedups requests the dead owner applied but never recycled
-(exactly-once application), and the recorded event position tells the
-successor which journaled events were never published (exactly-once
-event emission).  Entries whose epoch regresses below an already-seen
-epoch are zombie writes and are fenced out of the replay.
+**Durable shard state (journal + snapshot).**  Each shard owns a commit
+*journal* — a ring of applied operations under the same claim/commit
+protocol, each entry stamped with the owner's fencing epoch, the
+request's ``(lane, position)`` identity and its commit time — plus a
+double-buffered heap *snapshot* committed by a single atomic
+buffer-index flip.  The journal is the shard's only per-op log: the
+collector in the parent tails it from a per-shard *cursor* word that
+only the collector writes, and the owner truncates no further than
+``min(snapshot fold point, cursor)``, so every committed op is read
+exactly once.  Replaying the active snapshot plus every journal entry
+past its fold point rebuilds the owner's private heap after a SIGKILL
+at any instruction; the ``(lane, position)`` identity dedups requests
+the dead owner applied but never recycled (exactly-once application).
+Entries whose epoch regresses below an already-seen epoch are zombie
+writes and are fenced out of both the replay and the collected events.
 """
 
 from __future__ import annotations
@@ -63,21 +64,34 @@ import numpy as np
 #: intended-start and completion timestamps (monotonic ns), checksum.
 SLOT = struct.Struct("<QQqQqqQ")
 _SEQ = struct.Struct("<Q")
+_FIELDS = struct.Struct("<qqq")  # header top, size, heartbeat ns
+
+
+def _store(buf, offset: int, data: bytes) -> None:
+    """Store packed ``data`` in one copy.
+
+    ``struct.pack_into`` zero-fills its target before writing the
+    fields, so a reader in another process racing it can see the field
+    read 0.  A slice assignment copies whole words and never exposes
+    that zero, which a word other processes read without a lock needs.
+    """
+    buf[offset : offset + len(data)] = data
 
 #: Request opcodes (client -> shard owner).
 OP_INSERT = 1
 OP_DELETE = 2
 OP_STOP = 3
 
-#: Event opcodes (shard owner -> collector).
+#: Event opcodes: what an applied request did, as journaled by the owner
+#: and reported by the collector.
 EV_INSERT = 11
 EV_DELETE = 12
 EV_EMPTY = 13  # delete arrived while the shard heap was empty
-EV_BYE = 14  # owner shut down cleanly; label carries the residual size
 
-#: Journal opcodes reuse the event opcodes (the journal records the event
-#: each applied request produced); J_STOP additionally journals a lane's
-#: STOP so a successor does not wait on a lane that already said goodbye.
+#: Journal-only opcodes: J_BYE marks a clean owner exit (label carries the
+#: residual heap size); J_STOP journals a lane's STOP so a successor does
+#: not wait on a lane that already said goodbye.
+J_BYE = 14
 J_STOP = 15
 
 #: Published "top" for an empty shard: worse than every real label.
@@ -90,19 +104,20 @@ HEADER = struct.Struct("<QQqqq")
 
 #: Journal slot layout: absolute sequence, opcode, label, Lamport clock,
 #: intended-start ns, source lane, request-ring position the op came from,
-#: event-ring position its event publishes at (-1: no event), owner epoch,
-#: checksum.
+#: commit ns (taken just before the append), owner epoch, checksum.
 JSLOT = struct.Struct("<QQqQqQQqQQ")
 
 #: Snapshot buffer header: format version, owner epoch, Lamport clock,
-#: heap count, journal fold position, event-ring head, cumulative
-#: inserts/deletes/empties, per-lane stopped bitmask, checksum.
-_SNAP_HEADER = struct.Struct("<QQQQQQQQQQQ")
+#: heap count, journal fold position, cumulative inserts/deletes/empties,
+#: per-lane stopped bitmask, checksum.
+_SNAP_HEADER = struct.Struct("<QQQQQQQQQQ")
 _SNAP_CONTROL = struct.Struct("<QQ")  # active buffer index + pad
-SNAP_VERSION = 1
+SNAP_VERSION = 2
 
-_SEG_HEADER = struct.Struct("<QIIIIIII")
-_SEG_HEADER_SIZE = 40
+#: Segment header: magic, layout version, shards, lanes, request/journal/
+#: state capacities.
+_SEG_HEADER = struct.Struct("<QIIIIII")
+_SEG_VERSION = 3
 _MAGIC = 0x4D51534852564D51  # "MQSHRVMQ"
 
 
@@ -116,13 +131,13 @@ def slot_checksum(op: int, label: int, clock: int, t0_ns: int, t1_ns: int) -> in
 
 def journal_checksum(
     op: int, label: int, clock: int, t0_ns: int,
-    lane: int, reqpos: int, evpos: int, epoch: int,
+    lane: int, reqpos: int, t1_ns: int, epoch: int,
 ) -> int:
     """FNV-style fold of a journal entry payload."""
     h = 0x9E3779B97F4A7C15
     for v in (
         op, label & _MASK64, clock, t0_ns & _MASK64,
-        lane, reqpos, evpos & _MASK64, epoch,
+        lane, reqpos, t1_ns & _MASK64, epoch,
     ):
         h = ((h ^ v) * 0x100000001B3) & _MASK64
     return h or 1
@@ -325,25 +340,6 @@ class SlotRing:
         _SEQ.pack_into(self._buf, self._slot_offset(c), c + self.capacity)
         self._tail = c + 1
 
-    def last_op(self) -> Optional[int]:
-        """The op of the last slot ever written (committed *or* consumed).
-
-        Consumption recycles a slot's sequence but never rewrites its
-        payload, so after :meth:`recover` the slot at ``head - 1`` still
-        holds whatever the producer wrote there last.  The supervised
-        shutdown sweep uses this to ask "was a STOP ever delivered on
-        this lane?" without assuming it is still pending.  ``None`` when
-        nothing was ever pushed or the payload fails its checksum (a
-        producer killed mid-write of that final slot).
-        """
-        if self._head == 0:
-            return None
-        off = self._slot_offset(self._head - 1)
-        _seq, op, label, clock, t0_ns, t1_ns, checksum = SLOT.unpack_from(self._buf, off)
-        if checksum != slot_checksum(op, label, clock, t0_ns, t1_ns):
-            return None
-        return op
-
     # -- crash recovery and audit ----------------------------------------
 
     def recover(self) -> None:
@@ -387,38 +383,44 @@ class JournalEntry(NamedTuple):
     t0_ns: int
     lane: int
     reqpos: int
-    evpos: int
+    t1_ns: int
     epoch: int
+
+
+_CURSOR = struct.Struct("<Q")
 
 
 class JournalRing:
     """The per-shard commit journal: an SPSC ring the owner appends to.
 
     Same claim/commit discipline as :class:`SlotRing`, but consumption is
-    bulk: the owner *truncates* everything below the snapshot fold point
-    instead of popping entry by entry, and a successor *scans* the live
-    suffix non-destructively during recovery.  The commit store doubles as
-    the linearization point of the whole shard — an op happened iff its
-    journal entry is committed — and the optional ``fence`` hook lets a
-    zombie owner detect its own staleness after the payload write but
-    before the slot becomes visible.
+    split in two.  The collector *reads* entries in order without
+    recycling them and publishes how far it got in the journal's
+    *cursor* word (which only it writes); the owner *truncates* in bulk,
+    never past ``min(snapshot fold point, cursor)``, so no entry is
+    recycled before it is both folded and collected.  A successor
+    *scans* the live suffix non-destructively during recovery.  The
+    commit store doubles as the linearization point of the whole shard —
+    an op happened iff its journal entry is committed — and the optional
+    ``fence`` hook lets a zombie owner detect its own staleness after the
+    payload write but before the slot becomes visible.
     """
 
     def __init__(self, buf, offset: int, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._buf = buf
-        self._offset = offset
+        self._offset = offset  # the cursor word; slots follow it
         self.capacity = capacity
         self._head = 0  # next append position
         self._tail = 0  # lowest retained (un-truncated) position
 
     @staticmethod
     def region_size(capacity: int) -> int:
-        return capacity * JSLOT.size
+        return _CURSOR.size + capacity * JSLOT.size
 
     def _slot_offset(self, position: int) -> int:
-        return self._offset + (position % self.capacity) * JSLOT.size
+        return self._offset + _CURSOR.size + (position % self.capacity) * JSLOT.size
 
     @property
     def head(self) -> int:
@@ -429,16 +431,15 @@ class JournalRing:
         return self._tail
 
     def initialize(self) -> None:
+        _CURSOR.pack_into(self._buf, self._offset, 0)
         for i in range(self.capacity):
-            JSLOT.pack_into(
-                self._buf, self._offset + i * JSLOT.size, i, 0, 0, 0, 0, 0, 0, 0, 0, 0
-            )
+            JSLOT.pack_into(self._buf, self._slot_offset(i), i, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
     # -- producer side ---------------------------------------------------
 
     def try_append(
         self, op: int, label: int, clock: int, t0_ns: int,
-        lane: int, reqpos: int, evpos: int, epoch: int,
+        lane: int, reqpos: int, t1_ns: int, epoch: int,
         fence=None,
     ) -> bool:
         """Claim, write payload, check ``fence``, commit.  False = full.
@@ -454,8 +455,8 @@ class JournalRing:
         if seq != p:
             return False
         JSLOT.pack_into(
-            self._buf, off, seq, op, label, clock, t0_ns, lane, reqpos, evpos,
-            epoch, journal_checksum(op, label, clock, t0_ns, lane, reqpos, evpos, epoch),
+            self._buf, off, seq, op, label, clock, t0_ns, lane, reqpos, t1_ns,
+            epoch, journal_checksum(op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch),
         )
         if fence is not None and fence():
             raise FencedOwnerError(
@@ -466,7 +467,7 @@ class JournalRing:
         return True
 
     def truncate_to(self, new_tail: int) -> None:
-        """Recycle every entry below ``new_tail`` (the snapshot fold point)."""
+        """Recycle every entry below ``new_tail``."""
         if not self._tail <= new_tail <= self._head:
             raise ValueError(
                 f"truncate_to({new_tail}) outside [{self._tail}, {self._head}]"
@@ -475,55 +476,66 @@ class JournalRing:
             _SEQ.pack_into(self._buf, self._slot_offset(c), c + self.capacity)
         self._tail = new_tail
 
+    # -- reader side -----------------------------------------------------
+
+    def read(self, pos: int) -> Optional[JournalEntry]:
+        """The committed entry at absolute ``pos``; ``None`` if uncommitted.
+
+        Non-destructive: the collector tails the journal with it and
+        :meth:`scan` is built on it.  Raises :class:`TornSlotError` on a
+        committed entry with a bad checksum.
+        """
+        seq, op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch, checksum = (
+            JSLOT.unpack_from(self._buf, self._slot_offset(pos))
+        )
+        if seq != pos + 1:
+            return None
+        if checksum != journal_checksum(op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch):
+            raise TornSlotError(f"journal position {pos} committed with a bad checksum")
+        return JournalEntry(pos, op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch)
+
+    def cursor(self) -> int:
+        """First position the collector has not read yet."""
+        (pos,) = _CURSOR.unpack_from(self._buf, self._offset)
+        return pos
+
+    def set_cursor(self, pos: int) -> None:
+        """Publish the collector's progress (the collector is the only writer)."""
+        _store(self._buf, self._offset, _CURSOR.pack(pos))
+
     # -- recovery / audit -------------------------------------------------
 
     def scan(self) -> List[JournalEntry]:
         """All committed entries in ``[tail, head)``, non-destructively."""
         out: List[JournalEntry] = []
         for pos in range(self._tail, self._head):
-            off = self._slot_offset(pos)
-            seq, op, label, clock, t0_ns, lane, reqpos, evpos, epoch, checksum = (
-                JSLOT.unpack_from(self._buf, off)
-            )
-            if seq != pos + 1:
+            entry = self.read(pos)
+            if entry is None:
                 raise TornSlotError(
                     f"journal position {pos} inside [tail, head) is not committed"
                 )
-            if checksum != journal_checksum(
-                op, label, clock, t0_ns, lane, reqpos, evpos, epoch
-            ):
-                raise TornSlotError(
-                    f"journal position {pos} committed with a bad checksum"
-                )
-            out.append(
-                JournalEntry(pos, op, label, clock, t0_ns, lane, reqpos, evpos, epoch)
-            )
+            out.append(entry)
         return out
 
     def recover(self) -> None:
         """Rederive head/tail from slot sequences (same scheme as SlotRing)."""
         self._head, self._tail = _recover_positions(
-            self._buf, self._offset, JSLOT.size, self.capacity
+            self._buf, self._offset + _CURSOR.size, JSLOT.size, self.capacity
         )
 
     def audit(self) -> RingAudit:
         committed = free = torn = 0
         for i in range(self.capacity):
-            off = self._offset + i * JSLOT.size
-            seq, op, label, clock, t0_ns, lane, reqpos, evpos, epoch, checksum = (
-                JSLOT.unpack_from(self._buf, off)
-            )
+            (seq,) = _SEQ.unpack_from(self._buf, self._slot_offset(i))
             if (seq - i) % self.capacity == 0:
                 free += 1
-            elif (seq - i - 1) % self.capacity == 0:
-                if checksum == journal_checksum(
-                    op, label, clock, t0_ns, lane, reqpos, evpos, epoch
-                ):
-                    committed += 1
-                else:
-                    torn += 1
-            else:
-                torn += 1
+                continue
+            try:
+                intact = (seq - i - 1) % self.capacity == 0 and self.read(seq - 1) is not None
+            except TornSlotError:
+                intact = False
+            committed += intact
+            torn += not intact
         return RingAudit(capacity=self.capacity, committed=committed, free=free, torn=torn)
 
 
@@ -533,7 +545,6 @@ class SnapshotState(NamedTuple):
     epoch: int
     clock: int
     fold_pos: int  # journal entries below this are folded into the labels
-    ev_head: int  # event-ring head as of the fold point
     cum_inserts: int
     cum_deletes: int
     cum_empties: int
@@ -576,16 +587,16 @@ class ShardSnapshot:
         """Plant a valid empty snapshot in buffer 0 and mark it active."""
         _SNAP_CONTROL.pack_into(self._buf, self._offset, 0, 0)
         # Invalidate buffer 1 (checksum 0 can never validate: folds end `or 1`).
-        _SNAP_HEADER.pack_into(self._buf, self._buffer_offset(1), *([0] * 11))
+        _SNAP_HEADER.pack_into(self._buf, self._buffer_offset(1), *([0] * 10))
         self._write_buffer(
-            0, epoch=0, clock=0, fold_pos=0, ev_head=0, cum_inserts=0,
+            0, epoch=0, clock=0, fold_pos=0, cum_inserts=0,
             cum_deletes=0, cum_empties=0, stopped_mask=0,
             watermarks=np.zeros(self.lanes, dtype=np.uint64),
             labels=np.empty(0, dtype=np.int64),
         )
 
     def _write_buffer(
-        self, index: int, *, epoch: int, clock: int, fold_pos: int, ev_head: int,
+        self, index: int, *, epoch: int, clock: int, fold_pos: int,
         cum_inserts: int, cum_deletes: int, cum_empties: int, stopped_mask: int,
         watermarks, labels,
     ) -> None:
@@ -597,7 +608,7 @@ class ShardSnapshot:
             )
         base = self._buffer_offset(index)
         scalars = (
-            SNAP_VERSION, epoch, clock, count, fold_pos, ev_head,
+            SNAP_VERSION, epoch, clock, count, fold_pos,
             cum_inserts, cum_deletes, cum_empties, stopped_mask,
         )
         checksum = snapshot_checksum(scalars, watermarks, labels)
@@ -610,7 +621,7 @@ class ShardSnapshot:
         _SNAP_HEADER.pack_into(self._buf, base, *scalars, checksum)
 
     def write(
-        self, *, epoch: int, clock: int, fold_pos: int, ev_head: int,
+        self, *, epoch: int, clock: int, fold_pos: int,
         cum_inserts: int, cum_deletes: int, cum_empties: int, stopped_mask: int,
         watermarks, labels,
     ) -> None:
@@ -618,7 +629,7 @@ class ShardSnapshot:
         (active, _pad) = _SNAP_CONTROL.unpack_from(self._buf, self._offset)
         target = 1 - int(active)
         self._write_buffer(
-            target, epoch=epoch, clock=clock, fold_pos=fold_pos, ev_head=ev_head,
+            target, epoch=epoch, clock=clock, fold_pos=fold_pos,
             cum_inserts=cum_inserts, cum_deletes=cum_deletes,
             cum_empties=cum_empties, stopped_mask=stopped_mask,
             watermarks=np.asarray(watermarks, dtype=np.uint64),
@@ -629,7 +640,7 @@ class ShardSnapshot:
     def _read_buffer(self, index: int) -> Optional[SnapshotState]:
         base = self._buffer_offset(index)
         (
-            version, epoch, clock, count, fold_pos, ev_head,
+            version, epoch, clock, count, fold_pos,
             cum_inserts, cum_deletes, cum_empties, stopped_mask, checksum,
         ) = _SNAP_HEADER.unpack_from(self._buf, base)
         if version != SNAP_VERSION or count > self.state_capacity:
@@ -643,13 +654,13 @@ class ShardSnapshot:
             bytes(self._buf[lab_off : lab_off + count * 8]), dtype=np.int64
         )
         scalars = (
-            version, epoch, clock, count, fold_pos, ev_head,
+            version, epoch, clock, count, fold_pos,
             cum_inserts, cum_deletes, cum_empties, stopped_mask,
         )
         if checksum != snapshot_checksum(scalars, watermarks, labels):
             return None
         return SnapshotState(
-            epoch=epoch, clock=clock, fold_pos=fold_pos, ev_head=ev_head,
+            epoch=epoch, clock=clock, fold_pos=fold_pos,
             cum_inserts=cum_inserts, cum_deletes=cum_deletes,
             cum_empties=cum_empties, stopped_mask=stopped_mask,
             watermarks=tuple(int(w) for w in watermarks),
@@ -701,11 +712,11 @@ class ShardHeader:
         sending every read down the stale-fallback path.
         """
         off = self._offset
-        (seqlock,) = struct.unpack_from("<Q", self._buf, off + 8)
+        (seqlock,) = _SEQ.unpack_from(self._buf, off + 8)
         writing = seqlock | 1
-        struct.pack_into("<Q", self._buf, off + 8, writing)  # odd: writing
-        struct.pack_into("<qqq", self._buf, off + 16, top, size, heartbeat_ns)
-        struct.pack_into("<Q", self._buf, off + 8, writing + 1)  # even: stable
+        _store(self._buf, off + 8, _SEQ.pack(writing))  # odd: writing
+        _store(self._buf, off + 16, _FIELDS.pack(top, size, heartbeat_ns))
+        _store(self._buf, off + 8, _SEQ.pack(writing + 1))  # even: stable
 
     # -- reader side -----------------------------------------------------
 
@@ -754,13 +765,14 @@ class ServiceSegment:
 
     Geometry: ``lanes`` producers (loadgen workers plus the control lane
     the parent uses for prefill/shutdown) times ``shards`` request rings,
-    one event ring per shard, one header per shard.  Any process can
-    attach by name and reconstruct every view from the stored geometry.
+    plus one header, one journal and one snapshot region per shard.  Any
+    process can attach by name and reconstruct every view from the
+    stored geometry.
     """
 
     def __init__(
         self, shm: shared_memory.SharedMemory, *, owns: bool,
-        shards: int, lanes: int, req_capacity: int, ev_capacity: int,
+        shards: int, lanes: int, req_capacity: int,
         journal_capacity: int, state_capacity: int,
     ) -> None:
         self._shm = shm
@@ -768,7 +780,6 @@ class ServiceSegment:
         self.shards = shards
         self.lanes = lanes
         self.req_capacity = req_capacity
-        self.ev_capacity = ev_capacity
         self.journal_capacity = journal_capacity
         self.state_capacity = state_capacity
 
@@ -780,7 +791,6 @@ class ServiceSegment:
         shards: int,
         lanes: int,
         req_capacity: int = 2048,
-        ev_capacity: int = 8192,
         journal_capacity: int = 8192,
         state_capacity: int = 4096,
         name: Optional[str] = None,
@@ -791,22 +801,20 @@ class ServiceSegment:
             raise ValueError(
                 f"at most 64 lanes (snapshot stopped_mask is one u64), got {lanes}"
             )
-        total = cls._total_size(
-            shards, lanes, req_capacity, ev_capacity, journal_capacity, state_capacity
-        )
-        shm = shared_memory.SharedMemory(name=name, create=True, size=total)
-        seg = cls(
-            shm, owns=True, shards=shards, lanes=lanes,
-            req_capacity=req_capacity, ev_capacity=ev_capacity,
+        geometry = dict(
+            shards=shards, lanes=lanes, req_capacity=req_capacity,
             journal_capacity=journal_capacity, state_capacity=state_capacity,
         )
+        shm = shared_memory.SharedMemory(
+            name=name, create=True, size=cls(None, owns=True, **geometry)._end()
+        )
+        seg = cls(shm, owns=True, **geometry)
         _SEG_HEADER.pack_into(
-            shm.buf, 0, _MAGIC, 2, shards, lanes, req_capacity, ev_capacity,
+            shm.buf, 0, _MAGIC, _SEG_VERSION, shards, lanes, req_capacity,
             journal_capacity, state_capacity,
         )
         for s in range(shards):
             seg.header(s).initialize()
-            seg.event_ring(s).initialize()
             seg.journal(s).initialize()
             seg.snapshot(s).initialize()
             for lane in range(lanes):
@@ -817,20 +825,20 @@ class ServiceSegment:
     def attach(cls, name: str) -> "ServiceSegment":
         shm = _attach_segment(name)
         (
-            magic, version, shards, lanes, req_capacity, ev_capacity,
+            magic, version, shards, lanes, req_capacity,
             journal_capacity, state_capacity,
         ) = _SEG_HEADER.unpack_from(shm.buf, 0)
         if magic != _MAGIC:
             shm.close()
             raise ValueError(f"shared segment {name!r} is not a repro.service segment")
-        if version != 2:
+        if version != _SEG_VERSION:
             shm.close()
             raise ValueError(
-                f"shared segment {name!r} has layout version {version}, expected 2"
+                f"shared segment {name!r} has layout version {version}, "
+                f"expected {_SEG_VERSION}"
             )
         return cls(
-            shm, owns=False, shards=shards, lanes=lanes,
-            req_capacity=req_capacity, ev_capacity=ev_capacity,
+            shm, owns=False, shards=shards, lanes=lanes, req_capacity=req_capacity,
             journal_capacity=journal_capacity, state_capacity=state_capacity,
         )
 
@@ -838,39 +846,27 @@ class ServiceSegment:
     def name(self) -> str:
         return self._shm.name
 
-    @staticmethod
-    def _total_size(
-        shards: int, lanes: int, req_capacity: int, ev_capacity: int,
-        journal_capacity: int, state_capacity: int,
-    ) -> int:
-        return (
-            _SEG_HEADER_SIZE
-            + shards * ShardHeader.region_size()
-            + shards * lanes * SlotRing.region_size(req_capacity)
-            + shards * SlotRing.region_size(ev_capacity)
-            + shards * JournalRing.region_size(journal_capacity)
-            + shards * ShardSnapshot.region_size(lanes, state_capacity)
-        )
-
     # -- views ------------------------------------------------------------
 
     def _headers_base(self) -> int:
-        return _SEG_HEADER_SIZE
+        return _SEG_HEADER.size
 
     def _requests_base(self) -> int:
         return self._headers_base() + self.shards * ShardHeader.region_size()
 
-    def _events_base(self) -> int:
+    def _journals_base(self) -> int:
         return self._requests_base() + self.shards * self.lanes * SlotRing.region_size(
             self.req_capacity
         )
 
-    def _journals_base(self) -> int:
-        return self._events_base() + self.shards * SlotRing.region_size(self.ev_capacity)
-
     def _snapshots_base(self) -> int:
         return self._journals_base() + self.shards * JournalRing.region_size(
             self.journal_capacity
+        )
+
+    def _end(self) -> int:
+        return self._snapshots_base() + self.shards * ShardSnapshot.region_size(
+            self.lanes, self.state_capacity
         )
 
     def header(self, shard: int) -> ShardHeader:
@@ -887,11 +883,6 @@ class ServiceSegment:
             shard * self.lanes + lane
         ) * SlotRing.region_size(self.req_capacity)
         return SlotRing(self._shm.buf, offset, self.req_capacity)
-
-    def event_ring(self, shard: int) -> SlotRing:
-        self._check_shard(shard)
-        offset = self._events_base() + shard * SlotRing.region_size(self.ev_capacity)
-        return SlotRing(self._shm.buf, offset, self.ev_capacity)
 
     def journal(self, shard: int) -> JournalRing:
         self._check_shard(shard)
@@ -918,7 +909,7 @@ class ServiceSegment:
         torn = committed = 0
         rings = 0
         for s in range(self.shards):
-            audits = [self.event_ring(s).audit(), self.journal(s).audit()]
+            audits = [self.journal(s).audit()]
             audits.extend(
                 self.request_ring(s, lane).audit() for lane in range(self.lanes)
             )

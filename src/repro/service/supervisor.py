@@ -7,8 +7,9 @@ sure the predecessor can no longer write (SIGKILL for a kill-mode stall,
 or — in zombie/fence mode — SIGCONT it into the fence and wait for it to
 die of :class:`~repro.service.shm.FencedOwnerError`), then respawn the
 owner, which rebuilds its exact heap from the durable snapshot+journal
-(:func:`repro.service.server.recover_shard_state`) and re-emits any
-journaled-but-unpublished events.
+(:func:`repro.service.server.recover_shard_state`).  The collector
+reads events straight from the journal, so a takeover loses or repeats
+none of them.
 
 **Why fence mode serializes zombie exit before successor boot.**  Python
 cannot CAS shared memory, so a zombie frozen *between* its claim check

@@ -1,20 +1,34 @@
 """Router policies, shard-owner loop, and small end-to-end service runs."""
 
+import multiprocessing
+import os
+import signal
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.service.loadgen import ScheduleSpec
-from repro.service.metrics import merge_events, replay_ranks, summarize
-from repro.service.server import Router, run_service, run_shard_owner
+from repro.service.metrics import conservation_audit, merge_events, replay_ranks, summarize
+from repro.service.server import (
+    EventCollector,
+    Router,
+    ServiceCluster,
+    _stop_owners,
+    recover_shard_state,
+    run_service,
+    run_shard_owner,
+    shard_owner_main,
+)
 from repro.service.shm import (
-    EV_BYE,
     EV_DELETE,
     EV_EMPTY,
     EV_INSERT,
     OP_DELETE,
     OP_INSERT,
     OP_STOP,
+    FencedOwnerError,
     ServiceSegment,
     TOP_EMPTY,
 )
@@ -22,10 +36,19 @@ from repro.service.shm import (
 
 @pytest.fixture
 def segment():
-    seg = ServiceSegment.create(shards=3, lanes=2, req_capacity=64, ev_capacity=256)
+    seg = ServiceSegment.create(shards=3, lanes=2, req_capacity=64, journal_capacity=256)
     yield seg
     seg.close()
     seg.unlink()
+
+
+def _collector(segment, running):
+    """A running collector over ``segment``; only the ``running`` shards'
+    owners look alive, so the others finish once their journal is read."""
+    cluster = SimpleNamespace(alive=lambda: [s in running for s in range(segment.shards)])
+    collector = EventCollector(segment, cluster)
+    collector.start()
+    return collector
 
 
 class TestRouter:
@@ -93,6 +116,7 @@ class TestShardOwner:
 
     def test_owner_serves_heap_order_and_stops(self, segment):
         thread = self._run_owner(segment, 0)
+        collector = _collector(segment, running=(0,))
         lane0 = segment.request_ring(0, 0)
         lane1 = segment.request_ring(0, 1)
         for label in (30, 10, 20):
@@ -104,12 +128,12 @@ class TestShardOwner:
         lane1.try_push(OP_STOP, 0, 4, 0, 0)
         thread.join(timeout=10.0)
         assert not thread.is_alive()
-        events = []
-        ring = segment.event_ring(0)
-        while (ev := ring.try_pop()) is not None:
-            events.append(ev)
+        collector.join(timeout=10.0)
+        assert not collector.is_alive()
+        assert collector.residual_sizes[0] == 0  # from the journaled BYE
+        events = collector.events_by_shard[0]
         kinds = [e[0] for e in events]
-        assert kinds == [EV_INSERT] * 3 + [EV_DELETE] * 3 + [EV_EMPTY, EV_BYE]
+        assert kinds == [EV_INSERT] * 3 + [EV_DELETE] * 3 + [EV_EMPTY]
         assert [e[1] for e in events[3:6]] == [10, 20, 30]  # min-heap order
         clocks = [e[2] for e in events]
         assert clocks == sorted(clocks) and len(set(clocks)) == len(clocks)
@@ -129,10 +153,14 @@ class TestShardOwner:
         assert (top, size) == (77, 1)
         assert epoch == 1  # first owner generation
         assert heartbeat > 0
+        collector = _collector(segment, running=(1,))
         for lane in lanes:
             assert lane.try_push(OP_STOP, 0, 9, 0, 0)
         thread.join(timeout=10.0)
         assert not thread.is_alive()
+        collector.join(timeout=10.0)
+        assert not collector.is_alive()
+        assert collector.residual_sizes[1] == 1
 
 
 class TestMetricsPieces:
@@ -167,18 +195,257 @@ class TestMetricsPieces:
         out = summarize(by_shard, schedule, wall_s=2.0, rank_sample_every=1)
         assert out["inserts"] == 2 and out["deletes"] == 1
         assert out["ops_processed"] == 2
-        assert out["throughput_ops_s"] == pytest.approx(1.5)
+        # 2 offered ops between the first intended start (1000) and the
+        # last completion (7000); prefill and wall_s play no part.
+        assert out["throughput_ops_s"] == pytest.approx(2 / 6e-6)
         assert out["insert_p50_ms"] == pytest.approx(0.002)
         assert out["delete_p50_ms"] == pytest.approx(0.005)
         assert out["rank"]["removals"] == 1
         assert out["rank_values"] == [1]
+
+    def test_summarize_throughput_is_offered_ops_over_their_own_span(self):
+        spec = ScheduleSpec(mode="poisson", ops=4, prefill=2, rate=0.0, seed=0)
+        schedule = spec.build()
+        p0, p1 = (int(x) for x in schedule.prefill_labels)
+        i0, i1 = (int(x) for x in schedule.insert_labels[:2])
+        by_shard = [
+            [
+                (EV_INSERT, p0, 1, 0, 100),  # prefill: t0 == 0, not offered
+                (EV_INSERT, i0, 3, 10_000, 12_000),  # first intended start
+                (EV_DELETE, min(p0, i0), 5, 20_000, 25_000),
+                (EV_EMPTY, -1, 6, 21_000, 22_000),
+            ],
+            [
+                (EV_INSERT, p1, 2, 0, 200),
+                (EV_INSERT, i1, 4, 11_000, 30_000),  # last completion
+            ],
+        ]
+        out = summarize(by_shard, schedule, wall_s=5.0, rank_sample_every=1)
+        assert out["ops_processed"] == 4
+        # 4 offered ops in the 20 us from t0 = 10_000 to t1 = 30_000.
+        assert out["throughput_ops_s"] == pytest.approx(4 / 20e-6)
+        assert out["per_shard_ops_s"] == pytest.approx([3 / 20e-6, 1 / 20e-6])
+        assert out["wall_s"] == 5.0
+
+    def test_summarize_without_offered_ops_reports_zero_throughput(self):
+        spec = ScheduleSpec(mode="poisson", ops=2, prefill=1, rate=0.0, seed=0)
+        schedule = spec.build()
+        pre = int(schedule.prefill_labels[0])
+        out = summarize([[(EV_INSERT, pre, 1, 0, 5)]], schedule, wall_s=1.0)
+        assert out["throughput_ops_s"] == 0.0
+        assert out["per_shard_ops_s"] == [0.0]
+
+
+def _wait_for(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+def _owner_thread(segment, snapshot_every=1024):
+    """Shard 0's owner in a thread; a FencedOwnerError lands in the list."""
+    fenced = []
+
+    def target():
+        try:
+            run_shard_owner(segment.name, 0, 0.0002, snapshot_every)
+        except FencedOwnerError as exc:
+            fenced.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread, fenced
+
+
+def _journal_bounds(segment):
+    journal = segment.journal(0)
+    journal.recover()
+    return journal.tail, journal.head
+
+
+@pytest.fixture
+def one_shard():
+    seg = ServiceSegment.create(
+        shards=1, lanes=2, req_capacity=16, journal_capacity=8, state_capacity=64
+    )
+    yield seg
+    seg.close()
+    seg.unlink()
+
+
+class TestJournalCursor:
+    """The collector cursor rule, driven deterministically (no SIGKILL timing):
+    the owner recycles a journal entry only once it is both folded into a
+    snapshot and read by the collector."""
+
+    def test_uncollected_entries_survive_snapshot_and_takeover(self, one_shard):
+        seg = one_shard
+        lane0 = seg.request_ring(0, 0)
+        owner, fenced = _owner_thread(seg, snapshot_every=2)
+        for label in (7, 3, 9, 1):
+            assert lane0.try_push(OP_INSERT, label, 1, 0, 0)
+        assert lane0.try_push(OP_DELETE, -1, 2, 0, 0)
+        _wait_for(lambda: _journal_bounds(seg)[1] == 5)
+        # Snapshots folded the first four ops, but no collector has read
+        # anything yet, so every entry is still in the journal.
+        assert seg.snapshot(0).read().fold_pos == 4
+        assert _journal_bounds(seg) == (0, 5)
+        # Takeover: fence the first owner, boot a successor over the
+        # same shm.  Its boot snapshot folds the whole journal, which
+        # still keeps every uncollected entry.
+        seg.header(0).bump_epoch()
+        owner.join(timeout=10.0)
+        assert fenced and not owner.is_alive()
+        successor, fenced2 = _owner_thread(seg, snapshot_every=2)
+        _wait_for(lambda: seg.snapshot(0).read().epoch == 3)
+        assert seg.snapshot(0).read().fold_pos == 5
+        assert _journal_bounds(seg) == (0, 5)
+
+        collector = _collector(seg, running=(0,))
+        assert lane0.try_push(OP_INSERT, 5, 3, 0, 0)
+        assert lane0.try_push(OP_STOP, 0, 4, 0, 0)
+        assert seg.request_ring(0, 1).try_push(OP_STOP, 0, 4, 0, 0)
+        successor.join(timeout=10.0)
+        collector.join(timeout=10.0)
+        assert not collector.is_alive()
+        assert not successor.is_alive() and not fenced2
+        events = collector.events_by_shard[0]
+        assert [(e[0], e[1]) for e in events] == [
+            (EV_INSERT, 7), (EV_INSERT, 3), (EV_INSERT, 9), (EV_INSERT, 1),
+            (EV_DELETE, 1), (EV_INSERT, 5),
+        ]
+        assert collector.residual_sizes == [4]
+        conservation = conservation_audit(seg, collector.events_by_shard)
+        assert conservation["ok"] and conservation["events_match"]
+        assert seg.audit()["pending"] == 0
+
+    def test_full_journal_with_lagging_collector_blocks_the_owner(self, one_shard):
+        seg = one_shard
+        lane0 = seg.request_ring(0, 0)
+        labels = list(range(100, 112))  # 12 inserts; the journal holds 8
+        owner, fenced = _owner_thread(seg)
+        for label in labels:
+            assert lane0.try_push(OP_INSERT, label, 1, 0, 0)
+        _wait_for(lambda: _journal_bounds(seg) == (0, 8))
+        heartbeat = seg.header(0).read()[3]
+        time.sleep(0.05)
+        # Blocked, not overwriting: the first eight ops are intact and
+        # nothing past them was applied, while the owner keeps its
+        # heartbeat fresh.
+        journal = seg.journal(0)
+        journal.recover()
+        assert [e.label for e in journal.scan()] == labels[:8]
+        _epoch, top, size, later_heartbeat = seg.header(0).read()
+        assert (top, size) == (100, 8)
+        assert later_heartbeat > heartbeat
+        assert owner.is_alive()
+
+        collector = _collector(seg, running=(0,))
+        assert lane0.try_push(OP_STOP, 0, 2, 0, 0)
+        assert seg.request_ring(0, 1).try_push(OP_STOP, 0, 2, 0, 0)
+        owner.join(timeout=10.0)
+        collector.join(timeout=10.0)
+        assert not collector.is_alive()
+        assert not owner.is_alive() and not fenced
+        assert [e[1] for e in collector.events_by_shard[0]] == labels
+        assert conservation_audit(seg, collector.events_by_shard)["events_match"]
+        assert seg.audit()["pending"] == 0
+
+
+def _proc_gone(pid):
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as f:
+            state = f.read().rpartition(b")")[2].split()[0]
+    except FileNotFoundError:
+        return True
+    return state in (b"Z", b"X")
+
+
+def _start_owner_then_sleep(segment_name, conn):
+    owner = multiprocessing.get_context("fork").Process(
+        target=shard_owner_main, args=(segment_name, 0, 0.0002)
+    )
+    owner.start()
+    conn.send(owner.pid)
+    time.sleep(60.0)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestOwnerProcesses:
+    def test_alive_reads_sentinels_without_reaping(self, one_shard):
+        cluster = ServiceCluster(one_shard)
+        cluster.start()
+        proc = cluster.processes[0]
+        try:
+            assert cluster.alive() == [True]
+            os.kill(proc.pid, signal.SIGKILL)
+            _wait_for(lambda: cluster.alive() == [False])
+            # The liveness check left the exit status in place.
+            pid, status = os.waitpid(proc.pid, os.WNOHANG)
+            assert pid == proc.pid and os.WTERMSIG(status) == signal.SIGKILL
+            # Reaped here, not by multiprocessing: tell it the outcome.
+            proc._popen.returncode = os.waitstatus_to_exitcode(status)
+        finally:
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+
+    def test_stalled_owner_still_gets_every_stop(self, one_shard):
+        """An owner whose heartbeat looks stale (SIGSTOPped past
+        run_service's default dead_after_s of 2 s) during shutdown is still
+        alive, so it must still get the STOP of every lane."""
+        cluster = ServiceCluster(one_shard)
+        cluster.start()
+        collector = EventCollector(one_shard, cluster)
+        collector.start()
+        proc = cluster.processes[0]
+        try:
+            _wait_for(lambda: one_shard.header(0).read()[3] > 0)
+            os.kill(proc.pid, signal.SIGSTOP)
+            try:
+                time.sleep(2.3)
+                _stop_owners(one_shard, cluster)
+            finally:
+                os.kill(proc.pid, signal.SIGCONT)
+            assert cluster.join(timeout_s=10.0) == [0]
+            collector.join(timeout=10.0)
+            assert not collector.is_alive()
+            assert collector.residual_sizes == [0]
+            assert recover_shard_state(one_shard, 0).stopped == [True, True]
+        finally:
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+
+    def test_owner_exits_when_its_parent_dies(self, one_shard):
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        parent = ctx.Process(target=_start_owner_then_sleep, args=(one_shard.name, send))
+        parent.start()
+        owner_pid = None
+        try:
+            owner_pid = receive.recv()
+            _wait_for(lambda: one_shard.header(0).read()[3] > 0)
+            os.kill(parent.pid, signal.SIGKILL)
+            parent.join()
+            killed = time.monotonic()
+            _wait_for(lambda: _proc_gone(owner_pid), timeout_s=5.0)
+            assert time.monotonic() - killed < 2.0
+        finally:
+            if parent.is_alive():
+                parent.kill()
+                parent.join()
+            if owner_pid is not None and not _proc_gone(owner_pid):
+                os.kill(owner_pid, signal.SIGKILL)
 
 
 class TestEndToEnd:
     def test_small_run_is_clean_and_conserves_labels(self):
         spec = ScheduleSpec(mode="poisson", ops=1200, prefill=128, rate=0.0, seed=11)
         res = run_service(shards=2, workers=2, spec=spec, beta=0.5, seed=5)
-        assert res["audit"]["torn"] == 0
+        assert res["audit"] == {"rings": 8, "torn": 0, "pending": 0}
+        assert res["conservation"]["events_match"]
         assert res["owner_exitcodes"] == [0, 0]
         assert res["loadgen_exitcodes"] == [0, 0]
         assert res["ops_processed"] == spec.ops

@@ -1,5 +1,6 @@
 """Slot protocol, seqlock header, and segment layout tests (in-process)."""
 
+import multiprocessing
 import struct
 import threading
 
@@ -26,7 +27,7 @@ from repro.service.shm import (
 
 @pytest.fixture
 def segment():
-    seg = ServiceSegment.create(shards=2, lanes=3, req_capacity=8, ev_capacity=16)
+    seg = ServiceSegment.create(shards=2, lanes=3, req_capacity=8, journal_capacity=16)
     yield seg
     seg.close()
     seg.unlink()
@@ -92,9 +93,9 @@ class TestSlotRing:
         assert ring.try_push(OP_INSERT, 1)
 
     def test_audit_clean(self, segment):
-        ring = segment.event_ring(0)
+        ring = segment.request_ring(0, 0)
         for i in range(5):
-            ring.try_push(EV_DELETE, i)
+            ring.try_push(OP_DELETE, i)
         ring.try_pop()
         audit = ring.audit()
         assert audit.ok
@@ -165,13 +166,61 @@ class TestShardHeader:
         assert top == 9  # stale-but-usable snapshot, no hang
 
 
+def _publish(seg, i):
+    seg.header(0).publish(top=5, size=1, heartbeat_ns=i)
+
+
+def _published(seg):
+    _epoch, top, size, heartbeat = seg.header(0).read()
+    return (top, size) == (5, 1) and heartbeat > 0
+
+
+def _set_cursor(seg, i):
+    seg.journal(0).set_cursor(i)
+
+
+def _cursor_set(seg):
+    return seg.journal(0).cursor() > 0
+
+
+def _write_many(name, write):
+    seg = ServiceSegment.attach(name)
+    for i in range(1, 200_000):
+        write(seg, i)
+    seg.close()
+
+
+@pytest.mark.parametrize(
+    "write, intact", [(_publish, _published), (_set_cursor, _cursor_set)],
+    ids=["header", "cursor"],
+)
+def test_racing_reader_never_sees_zero_fill(segment, write, intact):
+    """``struct.pack_into`` zero-fills a field before storing it.  A
+    reader in another process racing such a store could take a zeroed
+    seqlock for a stable one and read heartbeat 0 ("never published"),
+    or read the collector cursor as 0; the stores must never expose it."""
+    write(segment, 1)
+    proc = multiprocessing.get_context("fork").Process(
+        target=_write_many, args=(segment.name, write)
+    )
+    proc.start()
+    torn = reads = 0
+    while proc.is_alive():
+        for _ in range(1000):
+            torn += not intact(segment)
+            reads += 1
+    proc.join(timeout=10.0)
+    assert proc.exitcode == 0 and reads > 0
+    assert torn == 0, f"{torn} of {reads} reads saw a zero-filled field"
+
+
 class TestServiceSegment:
     def test_attach_sees_creator_geometry_and_data(self, segment):
         segment.request_ring(1, 2).try_push(OP_INSERT, 314)
         other = ServiceSegment.attach(segment.name)
         try:
             assert (other.shards, other.lanes) == (2, 3)
-            assert (other.req_capacity, other.ev_capacity) == (8, 16)
+            assert (other.req_capacity, other.journal_capacity) == (8, 16)
             assert other.request_ring(1, 2).try_pop()[1] == 314
         finally:
             other.close()
@@ -195,7 +244,8 @@ class TestServiceSegment:
             for lane in range(segment.lanes):
                 segment.request_ring(s, lane).try_push(OP_INSERT, tag)
                 tag += 1
-            segment.event_ring(s).try_push(EV_DELETE, tag)
+            assert segment.journal(s).try_append(EV_DELETE, tag, 0, 0, 0, 0, 0, 1)
+            segment.journal(s).set_cursor(tag)
             tag += 1
             segment.header(s).publish(top=tag, size=tag, heartbeat_ns=tag)
             tag += 1
@@ -204,7 +254,8 @@ class TestServiceSegment:
             for lane in range(segment.lanes):
                 assert segment.request_ring(s, lane).try_pop()[1] == tag
                 tag += 1
-            assert segment.event_ring(s).try_pop()[1] == tag
+            assert segment.journal(s).read(0).label == tag
+            assert segment.journal(s).cursor() == tag
             tag += 1
             assert segment.header(s).read()[1] == tag
             tag += 1
@@ -215,12 +266,12 @@ class TestServiceSegment:
         with pytest.raises(IndexError):
             segment.request_ring(0, 3)
         with pytest.raises(IndexError):
-            segment.event_ring(-1)
+            segment.journal(-1)
 
     def test_audit_counts_all_rings(self, segment):
         audit = segment.audit()
-        # 2 shards x (3 request lanes + 1 event ring + 1 journal ring)
-        assert audit == {"rings": 10, "torn": 0, "pending": 0}
+        # 2 shards x (3 request lanes + 1 journal ring)
+        assert audit == {"rings": 8, "torn": 0, "pending": 0}
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -355,7 +406,7 @@ class TestCrashEdges:
 @pytest.fixture
 def small_segment():
     seg = ServiceSegment.create(
-        shards=1, lanes=1, req_capacity=8, ev_capacity=8,
+        shards=1, lanes=1, req_capacity=8,
         journal_capacity=8, state_capacity=16,
     )
     yield seg
@@ -369,7 +420,7 @@ class TestJournalRing:
         for i in range(3):
             assert journal.try_append(
                 OP_INSERT, 10 + i, clock=i, t0_ns=100 + i,
-                lane=0, reqpos=i, evpos=i, epoch=1,
+                lane=0, reqpos=i, t1_ns=i, epoch=1,
             )
         entries = journal.scan()
         assert [e.label for e in entries] == [10, 11, 12]
@@ -442,6 +493,34 @@ class TestJournalRing:
             args[i] += 1
             assert journal_checksum(*args) != base
 
+    def test_read_tails_committed_entries_only(self, small_segment):
+        """The collector's read: committed entries in order, ``None`` at a
+        free, torn-but-uncommitted or recycled position."""
+        journal = small_segment.journal(0)
+        assert journal.read(0) is None  # nothing committed yet
+        assert journal.try_append(OP_INSERT, 5, 1, 2, 0, 0, 3, 1)
+        assert journal.read(0) == journal.scan()[0]
+        assert journal.read(0).t1_ns == 3
+        # A payload written without its commit store stays invisible.
+        off = journal._slot_offset(1)
+        JSLOT.pack_into(
+            journal._buf, off, 1, OP_INSERT, 6, 0, 0, 0, 1, 0, 1,
+            journal_checksum(OP_INSERT, 6, 0, 0, 0, 1, 0, 1),
+        )
+        assert journal.read(1) is None
+        journal.truncate_to(1)
+        assert journal.read(0) is None  # recycled for the next lap
+
+    def test_cursor_is_shared_and_starts_at_zero(self, small_segment):
+        journal = small_segment.journal(0)
+        assert journal.cursor() == 0
+        journal.set_cursor(5)
+        assert small_segment.journal(0).cursor() == 5  # fresh view, same word
+        # The cursor word sits outside the slots: recovery ignores it.
+        fresh = small_segment.journal(0)
+        fresh.recover()
+        assert (fresh.head, fresh.tail) == (0, 0)
+
 
 class TestShardSnapshot:
     def test_initialized_snapshot_is_empty_and_valid(self, small_segment):
@@ -454,12 +533,12 @@ class TestShardSnapshot:
     def test_write_read_roundtrip(self, small_segment):
         snap = small_segment.snapshot(0)
         snap.write(
-            epoch=3, clock=17, fold_pos=9, ev_head=4, cum_inserts=12,
+            epoch=3, clock=17, fold_pos=9, cum_inserts=12,
             cum_deletes=5, cum_empties=1, stopped_mask=0b1,
             watermarks=[7], labels=np.array([5, 2, 9], dtype=np.int64),
         )
         state = small_segment.snapshot(0).read()
-        assert (state.epoch, state.clock, state.fold_pos, state.ev_head) == (3, 17, 9, 4)
+        assert (state.epoch, state.clock, state.fold_pos) == (3, 17, 9)
         assert (state.cum_inserts, state.cum_deletes, state.cum_empties) == (12, 5, 1)
         assert state.stopped_mask == 0b1 and state.watermarks == (7,)
         assert list(state.labels) == [5, 2, 9]
@@ -469,7 +548,7 @@ class TestShardSnapshot:
         previously committed snapshot readable."""
         snap = small_segment.snapshot(0)
         snap.write(
-            epoch=1, clock=5, fold_pos=2, ev_head=1, cum_inserts=3,
+            epoch=1, clock=5, fold_pos=2, cum_inserts=3,
             cum_deletes=1, cum_empties=0, stopped_mask=0,
             watermarks=[3], labels=np.array([8], dtype=np.int64),
         )
@@ -486,12 +565,12 @@ class TestShardSnapshot:
         must fall back to the sibling instead of raising."""
         snap = small_segment.snapshot(0)
         snap.write(
-            epoch=2, clock=1, fold_pos=0, ev_head=0, cum_inserts=1,
+            epoch=2, clock=1, fold_pos=0, cum_inserts=1,
             cum_deletes=0, cum_empties=0, stopped_mask=0,
             watermarks=[1], labels=np.array([4], dtype=np.int64),
         )
         snap.write(
-            epoch=2, clock=2, fold_pos=1, ev_head=1, cum_inserts=2,
+            epoch=2, clock=2, fold_pos=1, cum_inserts=2,
             cum_deletes=0, cum_empties=0, stopped_mask=0,
             watermarks=[2], labels=np.array([4, 6], dtype=np.int64),
         )
@@ -505,7 +584,7 @@ class TestShardSnapshot:
         snap = small_segment.snapshot(0)
         with pytest.raises(ValueError, match="exceeds state capacity"):
             snap.write(
-                epoch=1, clock=0, fold_pos=0, ev_head=0, cum_inserts=0,
+                epoch=1, clock=0, fold_pos=0, cum_inserts=0,
                 cum_deletes=0, cum_empties=0, stopped_mask=0,
                 watermarks=[0],
                 labels=np.arange(snap.state_capacity + 1, dtype=np.int64),

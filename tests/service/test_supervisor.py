@@ -33,6 +33,7 @@ from repro.service.server import (
 from repro.service.shm import (
     EV_DELETE,
     EV_INSERT,
+    J_BYE,
     J_STOP,
     ServiceSegment,
 )
@@ -174,7 +175,7 @@ class TestChaosSpec:
 @pytest.fixture
 def segment():
     seg = ServiceSegment.create(
-        shards=1, lanes=2, req_capacity=16, ev_capacity=32,
+        shards=1, lanes=2, req_capacity=16,
         journal_capacity=32, state_capacity=64,
     )
     yield seg
@@ -197,11 +198,6 @@ class TestRecoveryPieces:
         assert (state.cum_inserts, state.cum_deletes) == (2, 1)
         assert state.watermarks == [2, 1]
         assert state.stopped == [False, False]
-        # Nothing reached the event ring before the crash: every journaled
-        # op must be re-emitted by the successor.
-        assert [(op, label) for op, label, _, _ in state.reemit] == [
-            (EV_INSERT, 5), (EV_INSERT, 3), (EV_DELETE, 3),
-        ]
 
     def test_snapshot_plus_journal_suffix(self, segment):
         """Entries below the snapshot's fold point are already in the
@@ -211,7 +207,7 @@ class TestRecoveryPieces:
         assert journal.try_append(EV_INSERT, 4, 2, 0, 0, 1, 1, 1)
         assert journal.try_append(EV_INSERT, 6, 3, 0, 0, 2, 2, 1)
         segment.snapshot(0).write(
-            epoch=1, clock=2, fold_pos=2, ev_head=2, cum_inserts=2,
+            epoch=1, clock=2, fold_pos=2, cum_inserts=2,
             cum_deletes=0, cum_empties=0, stopped_mask=0,
             watermarks=[2, 0], labels=[4, 9],
         )
@@ -219,7 +215,6 @@ class TestRecoveryPieces:
         assert sorted(state.heap) == [4, 6, 9]
         assert state.replayed == 1  # only the post-fold entry
         assert state.cum_inserts == 3
-        assert [label for _, label, _, _ in state.reemit] == [6]
 
     def test_fenced_zombie_entries_are_skipped(self, segment):
         """A journal entry with a regressed epoch is a zombie commit: the
@@ -237,7 +232,17 @@ class TestRecoveryPieces:
         assert journal.try_append(J_STOP, 0, 1, 0, 1, 0, -1, 1)
         state = recover_shard_state(segment, 0)
         assert state.stopped == [False, True]
-        assert state.reemit == []  # STOPs are not events
+
+    def test_bye_entry_leaves_watermarks_alone(self, segment):
+        """J_BYE carries no request (lane 0, position 0): replaying it must
+        neither move a watermark nor count as a request applied twice."""
+        journal = segment.journal(0)
+        assert journal.try_append(EV_INSERT, 5, 1, 0, 0, 0, 0, 1)
+        assert journal.try_append(EV_INSERT, 6, 2, 0, 0, 1, 0, 1)
+        assert journal.try_append(J_BYE, 2, 3, 0, 0, 0, 0, 1)
+        state = recover_shard_state(segment, 0)
+        assert state.watermarks == [2, 0]
+        assert state.monotone and sorted(state.heap) == [5, 6]
 
     def test_replay_refuses_diverged_delete(self, segment):
         """A delete whose label is not the heap top means the journal and
@@ -247,7 +252,7 @@ class TestRecoveryPieces:
         snap = segment.snapshot(0).read()
         entries = [JournalEntry(0, EV_DELETE, 42, 1, 0, 0, 0, 0, 1)]
         with pytest.raises(TornSlotError, match="replay diverged"):
-            replay_journal(snap, entries, ev_head=0)
+            replay_journal(snap, entries)
 
     def test_mid_publish_crash_header_heals(self, segment):
         """Predecessor killed mid-seqlock-publish (odd seq, torn fields):
@@ -270,7 +275,7 @@ class TestRecoveryPieces:
 
 class TestRouterReadmission:
     def test_mark_alive_readmits_recovered_shard(self, segment):
-        seg3 = ServiceSegment.create(shards=3, lanes=1, req_capacity=8, ev_capacity=8)
+        seg3 = ServiceSegment.create(shards=3, lanes=1, req_capacity=8)
         try:
             router = Router(seg3, beta=0.0, policy="rr", rng=0)
             router.mark_dead(1)
