@@ -25,11 +25,11 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.service.shm import OP_DELETE, OP_INSERT, ServiceSegment
+from repro.service.shm import OP_DELETE, OP_INSERT, ServiceSegment, ShardHeader
 from repro.utils.rngtools import as_generator, spawn_seeds
 
 _NS = 1_000_000_000
@@ -142,6 +142,16 @@ class ArrivalSchedule:
             return OP_INSERT, int(self.insert_labels[g // 2]), int(self.times_ns[g])
         return OP_DELETE, -1, int(self.times_ns[g])
 
+    def ops_block(self, gs: np.ndarray) -> Tuple[List[int], List[int], List[int]]:
+        """:meth:`op` over the global indices ``gs``, as three lists of
+        Python ints (opcodes, labels, intended-start offsets)."""
+        inserts = gs % 2 == 0
+        return (
+            np.where(inserts, OP_INSERT, OP_DELETE).tolist(),
+            np.where(inserts, self.insert_labels[gs // 2], -1).tolist(),
+            self.times_ns[gs].tolist(),
+        )
+
 
 def _arrival_times(spec: ScheduleSpec, rng: np.random.Generator) -> np.ndarray:
     """Intended arrival offsets in seconds, per the spec's mode."""
@@ -230,10 +240,12 @@ EXIT_ALL_SHARDS_DEAD = 4
 #: silently — backpressure alone only exposes death once the ring fills.
 PROBE_EVERY = 128
 
+#: Stripe ops converted to Python ints at a time: the per-op loop then
+#: indexes no numpy scalars, and no whole-schedule list is ever built.
+STRIPE_BLOCK = 4096
 
-def _looks_dead(
-    segment: ServiceSegment, shard: int, dead_after_ns: int, boot_ns: int
-) -> bool:
+
+def _looks_dead(header: ShardHeader, dead_after_ns: int, boot_ns: int) -> bool:
     """Stale heartbeat — or none at all past the startup grace window.
 
     ``heartbeat == 0`` means the owner never published; it used to count
@@ -243,31 +255,28 @@ def _looks_dead(
     waited a full ``dead_after_ns`` without seeing any publish applies
     the same staleness verdict.
     """
-    heartbeat = segment.header(shard).read()[3]
+    heartbeat = header.read()[3]
     reference = heartbeat if heartbeat else boot_ns
     return time.monotonic_ns() - reference > dead_after_ns
 
 
-def _probe_dead(
-    segment: ServiceSegment, router, dead_after_ns: int, boot_ns: int
-) -> None:
+def _probe_dead(headers, router, dead_after_ns: int, boot_ns: int) -> None:
     # Revive first: a supervisor may have respawned a shard this router
     # wrote off, and re-admitting it before the death sweep keeps a
     # transient "everything stale" blip from looking terminal.
     now = time.monotonic_ns()
     for shard in router.dead_shards():
-        heartbeat = segment.header(shard).read()[3]
+        heartbeat = headers[shard].read()[3]
         if heartbeat and now - heartbeat <= dead_after_ns:
             router.mark_alive(shard)
     for shard in router.alive_shards():
-        if _looks_dead(segment, shard, dead_after_ns, boot_ns):
+        if _looks_dead(headers[shard], dead_after_ns, boot_ns):
             router.mark_dead(shard)
 
 
 def _push_with_failover(
-    segment: ServiceSegment,
+    headers,
     router,
-    lane: int,
     op: int,
     label: int,
     clock: int,
@@ -282,23 +291,27 @@ def _push_with_failover(
 
     A full ring is normal backpressure; a full ring *and* a stale owner
     heartbeat means the owner is gone — mark the shard dead so the
-    router stops offering it, and retry elsewhere.  Returns the shard
-    the request landed on.
+    router stops offering it, and retry elsewhere.  The deadline clock
+    starts only once a first push has failed.  Returns the shard the
+    request landed on.
     """
+    shard = pick_shard()
+    if rings[shard].try_push(op, label, clock, t0_ns, 0):
+        return shard
     deadline = time.monotonic() + deadline_s
     while True:
-        shard = pick_shard()
-        if rings[shard].try_push(op, label, clock, t0_ns, 0):
-            return shard
-        if _looks_dead(segment, shard, dead_after_ns, boot_ns):
+        if _looks_dead(headers[shard], dead_after_ns, boot_ns):
             router.mark_dead(shard)
-            continue
-        if time.monotonic() > deadline:
+        elif time.monotonic() > deadline:
             raise ShardDied(
                 f"no shard accepted op {op} within {deadline_s:.0f}s "
                 f"(alive: {router.alive_shards()})"
             )
-        time.sleep(0.0002)
+        else:
+            time.sleep(0.0002)
+        shard = pick_shard()
+        if rings[shard].try_push(op, label, clock, t0_ns, 0):
+            return shard
 
 
 def run_loadgen(
@@ -334,25 +347,30 @@ def run_loadgen(
             gamma=gamma,
             policy=policy,
             rng=spawn_seeds(routing_seed, n_workers)[worker_id],
+            dead_after_s=dead_after_s,
         )
+        headers = [segment.header(s) for s in range(segment.shards)]
         rings = [segment.request_ring(s, worker_id) for s in range(segment.shards)]
+        picks = {OP_INSERT: router.insert_shard, OP_DELETE: router.delete_shard}
         dead_after_ns = int(dead_after_s * _NS)
         boot_ns = time.monotonic_ns()
+        now_ns = 0  # latest clock reading; intended times at or before it are due
         clock = 0
-        for k, g in enumerate(stripe):
-            if k % PROBE_EVERY == PROBE_EVERY - 1:
-                _probe_dead(segment, router, dead_after_ns, boot_ns)
-            op, label, offset_ns = schedule.op(int(g))
-            intended_ns = start_ns + offset_ns
-            wait_s = (intended_ns - time.monotonic_ns()) / _NS
-            if wait_s > 0:
-                time.sleep(wait_s)
-            clock += 1
-            pick = router.insert_shard if op == OP_INSERT else router.delete_shard
-            _push_with_failover(
-                segment, router, worker_id, op, label, clock, intended_ns,
-                rings, pick, dead_after_ns, deadline_s, boot_ns,
-            )
+        for b in range(0, len(stripe), STRIPE_BLOCK):
+            ops, labels, offsets = schedule.ops_block(stripe[b : b + STRIPE_BLOCK])
+            for op, label, offset_ns in zip(ops, labels, offsets):
+                clock += 1
+                if clock % PROBE_EVERY == 0:
+                    _probe_dead(headers, router, dead_after_ns, boot_ns)
+                intended_ns = start_ns + offset_ns
+                if intended_ns > now_ns:
+                    now_ns = time.monotonic_ns()
+                    if intended_ns > now_ns:
+                        time.sleep((intended_ns - now_ns) / _NS)
+                _push_with_failover(
+                    headers, router, op, label, clock, intended_ns,
+                    rings, picks[op], dead_after_ns, deadline_s, boot_ns,
+                )
         # No STOPs from here: once every loadgen has exited, the parent
         # STOPs each lane of every live owner (server._stop_owners).
         return len(stripe)

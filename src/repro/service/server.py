@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -54,6 +55,16 @@ OWNER_BATCH = 64
 #: successor already took over, so dying is the correct behaviour.
 EXIT_FENCED = 3
 
+#: Uniform floats a :class:`Router` draws per generator call.
+ROUTER_DRAW_BLOCK = 1024
+
+#: A two-choice probe whose heartbeat trails the other probe's by more
+#: than this share of ``dead_after_s`` loses the comparison.  Its owner
+#: has stopped publishing, so its top is stale, and a low stale top would
+#: otherwise win every delete that probes it until the shard is declared
+#: dead — deletes a successor later applies to a heap they can empty.
+STALE_SHARE = 0.25
+
 #: Routing policies, mirroring the process variants in ``repro.core``:
 #: ``mq`` is the paper's (1+beta) MultiQueue, ``single`` funnels
 #: everything to one shard (the sequential-heap baseline), ``rr`` is
@@ -86,9 +97,18 @@ class Router:
 
     Deletes under ``mq`` flip a beta-coin: tails probes one shard top,
     heads probes two (with replacement, matching the paper's ``p_i``
-    law) and takes the smaller.  Tops come from the shard headers'
-    seqlock snapshots — advisory, never locked.  Shards marked dead are
-    excluded from every subsequent draw.
+    law) and takes the smaller, a tie going to the first probe.  Tops
+    come from the shard headers' seqlock snapshots — advisory, never
+    locked.  A probe whose heartbeat trails the other's by more than
+    ``STALE_SHARE * dead_after_s`` loses (see :data:`STALE_SHARE`).
+    Shards marked dead are excluded from every subsequent draw.
+
+    Randomness is drawn in blocks of uniform floats ``u`` in [0, 1) and
+    spent one float per draw: an index is ``alive[int(u * len(alive))]``,
+    scaled at use time so a shard marked dead mid-block is never drawn;
+    the coin is ``u < beta``; a gamma-biased insert inverts the
+    cumulative insert probabilities of the alive shards at ``u * total``.
+    Both products stay below their bound (``u <= 1 - 2**-53``).
     """
 
     def __init__(
@@ -98,18 +118,23 @@ class Router:
         gamma: float = 0.0,
         policy: str = "mq",
         rng: SeedLike = None,
+        dead_after_s: float = 2.0,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}: expected one of {POLICIES}")
         if not 0 <= beta <= 1:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
-        self._segment = segment
         self.n = segment.shards
+        self._stale_ns = int(STALE_SHARE * dead_after_s * _NS)
         self.beta = float(beta)
         self.policy = policy
         self._rng = as_generator(rng)
+        self._draws: List[float] = []
+        self._headers = [segment.header(s) for s in range(self.n)]
         self._alive: List[int] = list(range(self.n))
         self._insert_probs = biased_insert_probs(self.n, gamma) if gamma else None
+        self._insert_cdf: Optional[List[float]] = None
+        self._alive_changed()
         self._rr = 0
 
     def alive_shards(self) -> Tuple[int, ...]:
@@ -123,14 +148,15 @@ class Router:
         """Seconds since each shard's last heartbeat (None: never published)."""
         now = time.monotonic_ns() if now_ns is None else now_ns
         ages: Dict[int, Optional[float]] = {}
-        for s in range(self.n):
-            heartbeat_ns = self._segment.header(s).read()[3]
+        for s, header in enumerate(self._headers):
+            heartbeat_ns = header.read()[3]
             ages[s] = None if heartbeat_ns == 0 else (now - heartbeat_ns) / _NS
         return ages
 
     def mark_dead(self, shard: int) -> None:
         if shard in self._alive:
             self._alive.remove(shard)
+            self._alive_changed()
         if not self._alive:
             raise AllShardsDeadError(self.heartbeat_ages())
 
@@ -140,39 +166,61 @@ class Router:
             raise IndexError(f"shard {shard} outside [0, {self.n})")
         if shard not in self._alive:
             bisect.insort(self._alive, shard)
+            self._alive_changed()
 
-    def _uniform_alive(self) -> int:
-        return self._alive[int(self._rng.integers(len(self._alive)))]
+    def _alive_changed(self) -> None:
+        if self._insert_probs is not None and self._alive:
+            self._insert_cdf = list(
+                itertools.accumulate(self._insert_probs[self._alive].tolist())
+            )
+
+    def _refill(self) -> List[float]:
+        """A fresh block of draws; callers refill below three, the most
+        one decision spends."""
+        self._draws = self._rng.random(ROUTER_DRAW_BLOCK).tolist()
+        return self._draws
+
+    def _fixed_shard(self) -> int:
+        """The ``single``/``rr`` choice: no randomness, no tops."""
+        if self.policy == "single":
+            return self._alive[0]
+        shard = self._alive[self._rr % len(self._alive)]
+        self._rr += 1
+        return shard
 
     def insert_shard(self) -> int:
-        if self.policy == "single":
-            return self._alive[0]
-        if self.policy == "rr":
-            shard = self._alive[self._rr % len(self._alive)]
-            self._rr += 1
-            return shard
-        if self._insert_probs is None:
-            return self._uniform_alive()
-        probs = self._insert_probs[self._alive]
-        probs = probs / probs.sum()
-        return self._alive[int(self._rng.choice(len(self._alive), p=probs))]
+        if self.policy != "mq":
+            return self._fixed_shard()
+        draws = self._draws
+        if len(draws) < 3:
+            draws = self._refill()
+        alive = self._alive
+        cdf = self._insert_cdf
+        if cdf is None:
+            return alive[int(draws.pop() * len(alive))]
+        return alive[bisect.bisect_right(cdf, draws.pop() * cdf[-1])]
 
     def delete_shard(self) -> int:
-        if self.policy == "single":
-            return self._alive[0]
-        if self.policy == "rr":
-            shard = self._alive[self._rr % len(self._alive)]
-            self._rr += 1
-            return shard
-        i = self._uniform_alive()
-        two = self.beta >= 1.0 or (self.beta > 0.0 and self._rng.random() < self.beta)
-        if not two:
+        if self.policy != "mq":
+            return self._fixed_shard()
+        draws = self._draws
+        if len(draws) < 3:
+            draws = self._refill()
+        alive = self._alive
+        k = len(alive)
+        i = alive[int(draws.pop() * k)]
+        beta = self.beta
+        if not (beta >= 1.0 or (beta > 0.0 and draws.pop() < beta)):
             return i
-        j = self._uniform_alive()
+        j = alive[int(draws.pop() * k)]
         if i == j:
             return i
-        top_i = self._segment.header(i).read()[1]
-        top_j = self._segment.header(j).read()[1]
+        _, top_i, _, beat_i = self._headers[i].read()
+        _, top_j, _, beat_j = self._headers[j].read()
+        if beat_j - beat_i > self._stale_ns:
+            return j
+        if beat_i - beat_j > self._stale_ns:
+            return i
         return i if top_i <= top_j else j
 
 
@@ -734,7 +782,8 @@ def run_service(
             collector.attach_supervisor(supervisor)
             supervisor.start()
         control_router = Router(
-            segment, beta=beta, gamma=gamma, policy=policy, rng=seed
+            segment, beta=beta, gamma=gamma, policy=policy, rng=seed,
+            dead_after_s=dead_after_s,
         )
         _prefill(segment, schedule, control_router, timeout_s=30.0)
 

@@ -53,6 +53,7 @@ writes and are fenced out of both the replay and the collected events.
 from __future__ import annotations
 
 import struct
+import sys
 import time
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -63,6 +64,7 @@ import numpy as np
 #: Slot layout: absolute sequence number, opcode, label, Lamport clock,
 #: intended-start and completion timestamps (monotonic ns), checksum.
 SLOT = struct.Struct("<QQqQqqQ")
+_SLOT_PAYLOAD = struct.Struct("<QqQqqQ")  # SLOT after its seq word
 _SEQ = struct.Struct("<Q")
 _FIELDS = struct.Struct("<qqq")  # header top, size, heartbeat ns
 
@@ -74,8 +76,29 @@ def _store(buf, offset: int, data: bytes) -> None:
     fields, so a reader in another process racing it can see the field
     read 0.  A slice assignment copies whole words and never exposes
     that zero, which a word other processes read without a lock needs.
+    It is only for words with a single writer, though: ``memcpy`` may
+    store a word twice (see :func:`_word_view`).
     """
     buf[offset : offset + len(data)] = data
+
+
+def _word_view(buf) -> memoryview:
+    """``buf`` as native u64 words: ``view[offset >> 3] = value`` is one
+    aligned 8-byte machine store.
+
+    Slot and epoch words are stored this way, never by slice.  glibc's
+    ``memcpy`` copies 8 bytes as two overlapping 8-byte stores, and a
+    slot ``seq`` has two writers taking turns: the producer commits it,
+    the consumer recycles it.  A consumer preempted between its two
+    recycle stores can land the second after the producer has already
+    claimed the slot and committed, reverting the commit — the request
+    is lost and the lane wedges.  Every offset in the layout is 8-byte
+    aligned, and the layout is little-endian, so the host must be too.
+    """
+    if sys.byteorder != "little":
+        raise RuntimeError("the segment layout needs a little-endian host")
+    return memoryview(buf).cast("Q")
+
 
 #: Request opcodes (client -> shard owner).
 OP_INSERT = 1
@@ -106,6 +129,7 @@ HEADER = struct.Struct("<QQqqq")
 #: intended-start ns, source lane, request-ring position the op came from,
 #: commit ns (taken just before the append), owner epoch, checksum.
 JSLOT = struct.Struct("<QQqQqQQqQQ")
+_JSLOT_PAYLOAD = struct.Struct("<QqQqQQqQQ")  # JSLOT after its seq word
 
 #: Snapshot buffer header: format version, owner epoch, Lamport clock,
 #: heap count, journal fold position, cumulative inserts/deletes/empties,
@@ -122,25 +146,37 @@ _MAGIC = 0x4D51534852564D51  # "MQSHRVMQ"
 
 
 def slot_checksum(op: int, label: int, clock: int, t0_ns: int, t1_ns: int) -> int:
-    """FNV-style fold of a slot payload (``hash()`` is salted; this is not)."""
-    h = 0x9E3779B97F4A7C15
-    for v in (op, label & _MASK64, clock, t0_ns & _MASK64, t1_ns & _MASK64):
-        h = ((h ^ v) * 0x100000001B3) & _MASK64
-    return h or 1
+    """FNV-style fold of a slot payload (``hash()`` is salted; this is not).
+
+    Straight-line, and reduced mod 2**64 once at the end: the low 64 bits
+    of an XOR or a product depend only on the low 64 bits of the
+    operands, so this equals the per-step-masked fold
+    ``h = ((h ^ (v & mask)) * prime) & mask`` over the fields in order.
+    Only ``label`` is masked on the way: it is the field that is
+    negative in practice (deletes carry -1), and CPython multiplies a
+    non-negative fold faster.
+    """
+    h = (0x9E3779B97F4A7C15 ^ op) * 0x100000001B3
+    h = (h ^ (label & 0xFFFFFFFFFFFFFFFF)) * 0x100000001B3
+    h = (h ^ clock) * 0x100000001B3
+    h = (h ^ t0_ns) * 0x100000001B3
+    return ((h ^ t1_ns) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF or 1
 
 
 def journal_checksum(
     op: int, label: int, clock: int, t0_ns: int,
     lane: int, reqpos: int, t1_ns: int, epoch: int,
 ) -> int:
-    """FNV-style fold of a journal entry payload."""
-    h = 0x9E3779B97F4A7C15
-    for v in (
-        op, label & _MASK64, clock, t0_ns & _MASK64,
-        lane, reqpos, t1_ns & _MASK64, epoch,
-    ):
-        h = ((h ^ v) * 0x100000001B3) & _MASK64
-    return h or 1
+    """FNV-style fold of a journal entry payload, straight-line like
+    :func:`slot_checksum`."""
+    h = (0x9E3779B97F4A7C15 ^ op) * 0x100000001B3
+    h = (h ^ (label & 0xFFFFFFFFFFFFFFFF)) * 0x100000001B3
+    h = (h ^ clock) * 0x100000001B3
+    h = (h ^ t0_ns) * 0x100000001B3
+    h = (h ^ lane) * 0x100000001B3
+    h = (h ^ reqpos) * 0x100000001B3
+    h = (h ^ t1_ns) * 0x100000001B3
+    return ((h ^ epoch) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF or 1
 
 
 _SNAP_SALT = 0xA5A5A5A55A5A5A5A
@@ -248,10 +284,11 @@ class SlotRing:
     the slot sequence numbers alone (:meth:`recover`).
     """
 
-    def __init__(self, buf, offset: int, capacity: int) -> None:
+    def __init__(self, buf, offset: int, capacity: int, words) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._buf = buf
+        self._words = words  # _word_view(buf), or a test's stand-in
         self._offset = offset
         self.capacity = capacity
         self._head = 0  # next producer position
@@ -291,13 +328,13 @@ class SlotRing:
         (seq,) = _SEQ.unpack_from(self._buf, off)
         if seq != p:
             return False  # ring full (or we lost our position: recover())
-        # Claimed: payload first, checksum included ...
-        SLOT.pack_into(
-            self._buf, off, seq, op, label, clock, t0_ns, t1_ns,
+        # Claimed: payload first, checksum included, never touching seq ...
+        _SLOT_PAYLOAD.pack_into(
+            self._buf, off + 8, op, label, clock, t0_ns, t1_ns,
             slot_checksum(op, label, clock, t0_ns, t1_ns),
         )
-        # ... and only then the commit store that publishes the slot.
-        _SEQ.pack_into(self._buf, off, p + 1)
+        # ... and only then the one-word commit store that publishes it.
+        self._words[off >> 3] = p + 1
         self._head = p + 1
         return True
 
@@ -337,7 +374,7 @@ class SlotRing:
     def advance(self) -> None:
         """Recycle the tail slot previously observed via :meth:`try_peek`."""
         c = self._tail
-        _SEQ.pack_into(self._buf, self._slot_offset(c), c + self.capacity)
+        self._words[self._slot_offset(c) >> 3] = c + self.capacity
         self._tail = c + 1
 
     # -- crash recovery and audit ----------------------------------------
@@ -406,10 +443,11 @@ class JournalRing:
     payload write but before the slot becomes visible.
     """
 
-    def __init__(self, buf, offset: int, capacity: int) -> None:
+    def __init__(self, buf, offset: int, capacity: int, words) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._buf = buf
+        self._words = words  # _word_view(buf), or a test's stand-in
         self._offset = offset  # the cursor word; slots follow it
         self.capacity = capacity
         self._head = 0  # next append position
@@ -454,15 +492,15 @@ class JournalRing:
         (seq,) = _SEQ.unpack_from(self._buf, off)
         if seq != p:
             return False
-        JSLOT.pack_into(
-            self._buf, off, seq, op, label, clock, t0_ns, lane, reqpos, t1_ns,
+        _JSLOT_PAYLOAD.pack_into(
+            self._buf, off + 8, op, label, clock, t0_ns, lane, reqpos, t1_ns,
             epoch, journal_checksum(op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch),
         )
         if fence is not None and fence():
             raise FencedOwnerError(
                 f"owner epoch {epoch} fenced before committing journal pos {p}"
             )
-        _SEQ.pack_into(self._buf, off, p + 1)
+        self._words[off >> 3] = p + 1
         self._head = p + 1
         return True
 
@@ -473,7 +511,7 @@ class JournalRing:
                 f"truncate_to({new_tail}) outside [{self._tail}, {self._head}]"
             )
         for c in range(self._tail, new_tail):
-            _SEQ.pack_into(self._buf, self._slot_offset(c), c + self.capacity)
+            self._words[self._slot_offset(c) >> 3] = c + self.capacity
         self._tail = new_tail
 
     # -- reader side -----------------------------------------------------
@@ -684,8 +722,9 @@ class ShardSnapshot:
 class ShardHeader:
     """Seqlock-published ``(top, size, heartbeat)`` plus the fencing epoch."""
 
-    def __init__(self, buf, offset: int) -> None:
+    def __init__(self, buf, offset: int, words) -> None:
         self._buf = buf
+        self._words = words  # _word_view(buf), or a test's stand-in
         self._offset = offset
 
     @staticmethod
@@ -699,8 +738,8 @@ class ShardHeader:
 
     def bump_epoch(self) -> int:
         """Fence out any predecessor: the new owner generation's token."""
-        epoch, = struct.unpack_from("<Q", self._buf, self._offset)
-        struct.pack_into("<Q", self._buf, self._offset, epoch + 1)
+        (epoch,) = _SEQ.unpack_from(self._buf, self._offset)
+        self._words[self._offset >> 3] = epoch + 1
         return epoch + 1
 
     def publish(self, top: int, size: int, heartbeat_ns: int) -> None:
@@ -721,25 +760,24 @@ class ShardHeader:
     # -- reader side -----------------------------------------------------
 
     def read(self, max_tries: int = 64) -> Tuple[int, int, int, int]:
-        """Consistent ``(epoch, top, size, heartbeat_ns)`` snapshot."""
+        """Consistent ``(epoch, top, size, heartbeat_ns)`` snapshot.
+
+        One ``HEADER`` unpack reads the seqlock before the fields (struct
+        decodes in layout order), and a second read of the seqlock after
+        them confirms no publish overlapped.
+        """
+        buf, off = self._buf, self._offset
         for _ in range(max_tries):
-            epoch, seq1 = struct.unpack_from("<QQ", self._buf, self._offset)
-            if seq1 % 2:
-                continue
-            top, size, heartbeat_ns = struct.unpack_from(
-                "<qqq", self._buf, self._offset + 16
-            )
-            (seq2,) = struct.unpack_from("<Q", self._buf, self._offset + 8)
-            if seq1 == seq2:
+            epoch, seq1, top, size, heartbeat_ns = HEADER.unpack_from(buf, off)
+            if not seq1 & 1 and _SEQ.unpack_from(buf, off + 8)[0] == seq1:
                 return epoch, top, size, heartbeat_ns
         # The writer died mid-publish: the stale snapshot is still usable
         # for routing (tops are advisory), so return it rather than hang.
-        top, size, heartbeat_ns = struct.unpack_from("<qqq", self._buf, self._offset + 16)
+        epoch, _seq, top, size, heartbeat_ns = HEADER.unpack_from(buf, off)
         return epoch, top, size, heartbeat_ns
 
     def epoch(self) -> int:
-        (epoch,) = struct.unpack_from("<Q", self._buf, self._offset)
-        return epoch
+        return _SEQ.unpack_from(self._buf, self._offset)[0]
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -776,6 +814,8 @@ class ServiceSegment:
         journal_capacity: int, state_capacity: int,
     ) -> None:
         self._shm = shm
+        # One word view for every ring and header; close() releases it.
+        self._words = None if shm is None else _word_view(shm.buf)
         self._owns = owns
         self.shards = shards
         self.lanes = lanes
@@ -872,7 +912,8 @@ class ServiceSegment:
     def header(self, shard: int) -> ShardHeader:
         self._check_shard(shard)
         return ShardHeader(
-            self._shm.buf, self._headers_base() + shard * ShardHeader.region_size()
+            self._shm.buf, self._headers_base() + shard * ShardHeader.region_size(),
+            self._words,
         )
 
     def request_ring(self, shard: int, lane: int) -> SlotRing:
@@ -882,14 +923,14 @@ class ServiceSegment:
         offset = self._requests_base() + (
             shard * self.lanes + lane
         ) * SlotRing.region_size(self.req_capacity)
-        return SlotRing(self._shm.buf, offset, self.req_capacity)
+        return SlotRing(self._shm.buf, offset, self.req_capacity, self._words)
 
     def journal(self, shard: int) -> JournalRing:
         self._check_shard(shard)
         offset = self._journals_base() + shard * JournalRing.region_size(
             self.journal_capacity
         )
-        return JournalRing(self._shm.buf, offset, self.journal_capacity)
+        return JournalRing(self._shm.buf, offset, self.journal_capacity, self._words)
 
     def snapshot(self, shard: int) -> ShardSnapshot:
         self._check_shard(shard)
@@ -922,6 +963,7 @@ class ServiceSegment:
     # -- lifetime ----------------------------------------------------------
 
     def close(self) -> None:
+        self._words.release()  # an exported view would keep the mmap open
         self._shm.close()
 
     def unlink(self) -> None:

@@ -1,10 +1,15 @@
-"""Arrival-schedule construction: modes, determinism, striping."""
+"""Arrival-schedule construction (modes, determinism, striping) and the worker push loop."""
+
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.service import loadgen
 from repro.service.loadgen import ArrivalSchedule, ScheduleSpec
-from repro.service.shm import OP_DELETE, OP_INSERT
+from repro.service.server import Router
+from repro.service.shm import OP_DELETE, OP_INSERT, ServiceSegment
 
 
 class TestSpecValidation:
@@ -145,3 +150,44 @@ class TestDeterminismAndStriping:
         sched = ScheduleSpec(ops=10, seed=0).build()
         with pytest.raises(ValueError):
             sched.stripe(2, 2)
+
+
+class TestLoadgenLoop:
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_ops_block_matches_op(self, n_workers):
+        sched = ScheduleSpec(mode="poisson", ops=1001, prefill=16, rate=500.0, seed=4).build()
+        for w in range(n_workers):
+            stripe = sched.stripe(w, n_workers)
+            ops, labels, offsets = sched.ops_block(stripe)
+            assert list(zip(ops, labels, offsets)) == [sched.op(int(g)) for g in stripe]
+            assert all(type(v) is int for v in ops + labels + offsets)
+
+    def test_push_succeeding_first_time_reads_no_clock(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(loadgen.time, "monotonic", lambda: reads.append(1) or 0.0)
+        ring = SimpleNamespace(try_push=lambda *args: True)
+        shard = loadgen._push_with_failover(
+            None, None, OP_INSERT, 7, 1, 0, [ring], lambda: 0, 1, 1.0, 0
+        )
+        assert shard == 0 and reads == []
+
+    def test_full_ring_with_stale_owner_fails_over(self):
+        seg = ServiceSegment.create(shards=2, lanes=1, req_capacity=4, journal_capacity=8)
+        try:
+            seg.header(0).publish(top=1, size=1, heartbeat_ns=1)  # long stale
+            seg.header(1).publish(top=1, size=1, heartbeat_ns=time.monotonic_ns())
+            rings = [seg.request_ring(s, 0) for s in range(2)]
+            while rings[0].try_push(OP_INSERT, 1):
+                pass
+            router = Router(seg, beta=1.0, rng=0)
+            picks = iter([0, 1])
+            headers = [seg.header(s) for s in range(2)]
+            shard = loadgen._push_with_failover(
+                headers, router, OP_INSERT, 5, 1, 0, rings, lambda: next(picks),
+                loadgen._NS, 1.0, time.monotonic_ns(),
+            )
+            assert shard == 1 and router.alive_shards() == (1,)
+            assert rings[1].try_pop()[:2] == (OP_INSERT, 5)
+        finally:
+            seg.close()
+            seg.unlink()

@@ -7,11 +7,14 @@ import threading
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.core.policies import biased_insert_probs
 from repro.service.loadgen import ScheduleSpec
 from repro.service.metrics import conservation_audit, merge_events, replay_ranks, summarize
 from repro.service.server import (
+    ROUTER_DRAW_BLOCK,
     EventCollector,
     Router,
     ServiceCluster,
@@ -104,6 +107,87 @@ class TestRouter:
     def test_unknown_policy_rejected(self, segment):
         with pytest.raises(ValueError, match="unknown policy"):
             Router(segment, beta=0.5, policy="lifo", rng=0)
+
+
+#: Every routing frequency must land within this many binomial standard
+#: deviations of its exact probability (fixed before any run).
+LAW_SIGMAS = 5.0
+LAW_DECISIONS = 30_000
+
+
+def _assert_law(picks, expected):
+    """Each shard's pick count within ``LAW_SIGMAS`` binomial sds."""
+    n = len(picks)
+    for shard, p in expected.items():
+        sd = np.sqrt(n * p * (1.0 - p))
+        count = picks.count(shard)
+        assert abs(count - n * p) <= LAW_SIGMAS * sd, (shard, count / n, p)
+    assert set(picks) <= set(expected)
+
+
+class TestRoutingLaw:
+    """The block-drawn router samples the paper's exact routing law."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_delete_law_over_best_middle_worst(self, segment, beta):
+        segment.header(0).publish(top=30, size=5, heartbeat_ns=1)  # worst
+        segment.header(1).publish(top=10, size=5, heartbeat_ns=1)  # best
+        segment.header(2).publish(top=20, size=5, heartbeat_ns=1)  # middle
+        router = Router(segment, beta=beta, policy="mq", rng=7)
+        picks = [router.delete_shard() for _ in range(LAW_DECISIONS)]
+        # Two probes with replacement: the best wins unless both miss it
+        # (1 - 4/9), the worst only when both hit it (1/9).
+        one = (1.0 - beta) / 3.0
+        _assert_law(picks, {1: one + beta * 5 / 9, 2: one + beta * 3 / 9, 0: one + beta / 9})
+
+    def test_tie_goes_to_the_first_probe(self, segment):
+        for s in range(3):
+            segment.header(s).publish(top=10, size=5, heartbeat_ns=1)
+        for first, second in ((0, 2), (2, 0)):
+            router = Router(segment, beta=1.0, policy="mq", rng=8)
+            # Draws are spent from the end of the block: first probe, then second.
+            router._draws = [0.5, (second + 0.5) / 3, (first + 0.5) / 3]
+            assert router.delete_shard() == first
+
+    @pytest.mark.parametrize("lag_s, expected", [
+        (0.4, {0: 5 / 9, 1: 3 / 9, 2: 1 / 9}),  # within a quarter of dead_after: tops decide
+        (0.6, {0: 1 / 9, 1: 5 / 9, 2: 3 / 9}),  # past it: the stalled shard loses to both
+    ])
+    def test_a_probe_whose_heartbeat_stopped_loses(self, segment, lag_s, expected):
+        now = time.monotonic_ns()
+        segment.header(0).publish(top=1, size=5, heartbeat_ns=now - int(lag_s * 1e9))
+        segment.header(1).publish(top=50, size=5, heartbeat_ns=now)
+        segment.header(2).publish(top=60, size=5, heartbeat_ns=now)
+        router = Router(segment, beta=1.0, policy="mq", rng=11, dead_after_s=2.0)
+        _assert_law([router.delete_shard() for _ in range(LAW_DECISIONS)], expected)
+
+    def test_gamma_inserts_follow_biased_probs_on_the_alive_set(self):
+        seg = ServiceSegment.create(shards=4, lanes=1, req_capacity=8, journal_capacity=8)
+        try:
+            router = Router(seg, beta=0.5, gamma=0.8, policy="mq", rng=9)
+            probs = biased_insert_probs(4, 0.8)
+            picks = [router.insert_shard() for _ in range(LAW_DECISIONS)]
+            _assert_law(picks, dict(enumerate(probs)))
+            router.mark_dead(2)
+            alive = [0, 1, 3]
+            restricted = probs[alive] / probs[alive].sum()
+            picks = [router.insert_shard() for _ in range(LAW_DECISIONS)]
+            _assert_law(picks, dict(zip(alive, restricted)))
+        finally:
+            seg.close()
+            seg.unlink()
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.6])
+    def test_mark_dead_mid_block_never_yields_the_dead_shard(self, segment, gamma):
+        router = Router(segment, beta=0.5, gamma=gamma, policy="mq", rng=10)
+        for _ in range(ROUTER_DRAW_BLOCK // 3):  # leave the block part-spent
+            router.delete_shard()
+        router.mark_dead(1)
+        picks = [router.delete_shard() for _ in range(2000)]
+        picks += [router.insert_shard() for _ in range(2000)]
+        assert 1 not in picks and set(picks) == {0, 2}
+        router.mark_alive(1)
+        assert 1 in {router.insert_shard() for _ in range(200)}
 
 
 class TestShardOwner:

@@ -6,12 +6,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.shm import (
     EV_DELETE,
     EV_INSERT,
     FencedOwnerError,
     JSLOT,
+    JournalRing,
     OP_DELETE,
     OP_INSERT,
     SLOT,
@@ -589,3 +592,154 @@ class TestShardSnapshot:
                 watermarks=[0],
                 labels=np.arange(snap.state_capacity + 1, dtype=np.int64),
             )
+
+
+# -- checksum folds against the reference loops ------------------------------
+
+_MASK64 = (1 << 64) - 1
+_FNV_PRIME = 0x100000001B3
+
+
+def _reference_fold(values):
+    """The per-step-masked FNV loop the straight-line folds must equal."""
+    h = 0x9E3779B97F4A7C15
+    for v in values:
+        h = ((h ^ v) * _FNV_PRIME) & _MASK64
+    return h
+
+
+def _reference_slot_checksum(op, label, clock, t0_ns, t1_ns):
+    return _reference_fold(
+        (op, label & _MASK64, clock, t0_ns & _MASK64, t1_ns & _MASK64)
+    ) or 1
+
+
+def _reference_journal_checksum(op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch):
+    return _reference_fold(
+        (op, label & _MASK64, clock, t0_ns & _MASK64, lane, reqpos, t1_ns & _MASK64, epoch)
+    ) or 1
+
+
+_unsigned = st.integers(min_value=0, max_value=_MASK64)
+_signed = st.integers(min_value=-(1 << 63), max_value=_MASK64)  # negatives and >= 2**63
+
+
+class TestChecksumFolds:
+    @settings(max_examples=500, deadline=None)
+    @given(_unsigned, _signed, _unsigned, _signed, _signed)
+    def test_slot_fold_matches_reference_loop(self, op, label, clock, t0_ns, t1_ns):
+        assert slot_checksum(op, label, clock, t0_ns, t1_ns) == _reference_slot_checksum(
+            op, label, clock, t0_ns, t1_ns
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(_unsigned, _signed, _unsigned, _signed, _unsigned, _unsigned, _signed, _unsigned)
+    def test_journal_fold_matches_reference_loop(
+        self, op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch
+    ):
+        args = (op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch)
+        assert journal_checksum(*args) == _reference_journal_checksum(*args)
+
+    def test_a_zero_fold_maps_to_one(self):
+        # The last step is (h ^ v) * prime mod 2**64 with an odd prime,
+        # so it is 0 exactly when v equals the running fold h.
+        slot_head = (OP_INSERT, -5 & _MASK64, 7, (1 << 63) + 3)
+        slot_args = (OP_INSERT, -5, 7, (1 << 63) + 3, _reference_fold(slot_head))
+        assert _reference_fold(slot_head + (slot_args[-1],)) == 0
+        assert slot_checksum(*slot_args) == 1 == _reference_slot_checksum(*slot_args)
+
+        journal_head = (EV_INSERT, 9, 4, -2 & _MASK64, 1, 42, -1 & _MASK64)
+        journal_args = (EV_INSERT, 9, 4, -2, 1, 42, -1, _reference_fold(journal_head))
+        assert _reference_fold(journal_head + (journal_args[-1],)) == 0
+        assert journal_checksum(*journal_args) == 1 == _reference_journal_checksum(*journal_args)
+
+
+# -- single-store seq and epoch words ----------------------------------------
+
+
+class _LoggedBuffer(bytearray):
+    """A bytearray that records every slice store (buffer-protocol writes
+    such as ``struct.pack_into`` bypass ``__setitem__``)."""
+
+    def __init__(self, size):
+        super().__init__(size)
+        self.stores = []
+
+    def __setitem__(self, key, value):
+        self.stores.append((key, bytes(value)))
+        super().__setitem__(key, value)
+
+
+class _LoggedWords:
+    """A native-u64 view of a buffer that records every word store."""
+
+    def __init__(self, buf):
+        self._view = memoryview(buf).cast("Q")
+        self.stores = []
+
+    def __setitem__(self, index, value):
+        self.stores.append((index, value))
+        self._view[index] = value
+
+
+def _word(buf, offset):
+    return struct.unpack_from("<Q", buf, offset)[0]
+
+
+class TestSingleStoreWords:
+    """After ``initialize``, every change to a slot ``seq`` or header epoch
+    word arrives as one 8-byte word store: never ``pack_into`` (it
+    zero-fills first, so a racing reader could read the word as 0) and
+    never a slice store (``memcpy`` may store the word twice, and a late
+    second store can revert the other side's turn)."""
+
+    def _check(self, buf, words, offsets, action):
+        before = {o: _word(buf, o) for o in offsets}
+        buf.stores.clear()
+        words.stores.clear()
+        action()
+        for o in offsets:
+            after = _word(buf, o)
+            if after != before[o]:
+                assert (o >> 3, after) in words.stores, (o, words.stores)
+        assert {i for i, _ in words.stores} <= {o >> 3 for o in offsets}
+        for key, _value in buf.stores:
+            assert not [o for o in offsets if key.start < o + 8 and o < key.stop], key
+
+    def test_slot_ring_claim_commit_and_recycle(self):
+        cap = 4
+        buf = _LoggedBuffer(SlotRing.region_size(cap))
+        words = _LoggedWords(buf)
+        ring = SlotRing(buf, 0, cap, words)
+        ring.initialize()
+        offsets = [i * SLOT.size for i in range(cap)]
+        for k in range(3 * cap):  # wraps the ring several times
+            self._check(buf, words, offsets, lambda: ring.try_push(OP_INSERT, -k, k, -k, k))
+            self._check(buf, words, offsets, ring.try_peek)
+            self._check(buf, words, offsets, ring.advance)
+        assert len(words.stores) == 1 and ring.audit().ok
+
+    def test_journal_append_and_truncate(self):
+        cap = 4
+        buf = _LoggedBuffer(JournalRing.region_size(cap))
+        words = _LoggedWords(buf)
+        journal = JournalRing(buf, 0, cap, words)
+        journal.initialize()
+        offsets = [journal._slot_offset(i) for i in range(cap)]
+        for k in range(3 * cap):
+            self._check(
+                buf, words, offsets,
+                lambda: journal.try_append(EV_INSERT, k, k, -k, 0, k, -k, 1, fence=lambda: False),
+            )
+            self._check(buf, words, offsets, lambda: journal.truncate_to(journal.head))
+        assert journal.audit().ok
+
+    def test_header_epoch_bump(self):
+        buf = _LoggedBuffer(ShardHeader.region_size())
+        words = _LoggedWords(buf)
+        header = ShardHeader(buf, 0, words)
+        header.initialize()
+        for k in range(3):
+            self._check(buf, words, [0], header.bump_epoch)
+            self._check(buf, words, [0], lambda: header.publish(k, k, k + 1))
+        assert header.read() == (3, 2, 2, 3)
