@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench examples report lint-clean check all
+.PHONY: install test bench examples report check all
 
 install:
 	# Offline-friendly editable install (pip install -e . needs network
@@ -21,11 +21,10 @@ examples:
 report:
 	$(PYTHON) -m repro report
 
-# Static gates: syscall-discipline lint, whole-program determinism +
-# lock-order check (against the committed baseline), and one race-free
-# sanitized run.
+# Static gates: the whole-program checker (determinism, syscall
+# discipline and lock order, against the committed baseline) and one
+# race-free sanitized run.
 check:
-	$(PYTHON) -m repro lint
 	$(PYTHON) -m repro check --baseline staticcheck.baseline.json
 	$(PYTHON) -m repro sanitize --scenario chaos --variant lock-better --seeds 1
 

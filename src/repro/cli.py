@@ -441,19 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
 
     p = sub.add_parser(
-        "lint",
-        help="static syscall-discipline lint over src/repro/concurrent (SAN101-104)",
-    )
-    p.add_argument(
-        "paths", nargs="*", default=None, help="files/dirs to lint (default: the models)"
-    )
-    p.add_argument(
-        "--json", action="store_true", help="emit violations/suppressions as JSON"
-    )
-
-    p = sub.add_parser(
         "check",
-        help="whole-program determinism + lock-order checker (DET101-106, SAN105-106)",
+        help="whole-program static checker: determinism (DET101-106), "
+        "syscall discipline and lock order (SAN101-106)",
     )
     p.add_argument(
         "paths",
@@ -1011,20 +1001,6 @@ def cmd_sanitize(args) -> None:
     print(f"\nall {len(rows)} seed(s) race-free (given the annotations)")
 
 
-def cmd_lint(args) -> None:
-    import json
-
-    from repro.sanitizer.lint import lint_paths
-
-    report = lint_paths(args.paths or None)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.describe())
-    if not report.ok:
-        raise SystemExit(1)
-
-
 def cmd_check(args) -> None:
     import json
 
@@ -1336,7 +1312,6 @@ _COMMANDS = {
     "serve": cmd_serve,
     "chaos": cmd_chaos,
     "sanitize": cmd_sanitize,
-    "lint": cmd_lint,
     "check": cmd_check,
     "experiments": cmd_experiments,
     "report": cmd_report,

@@ -80,7 +80,7 @@ class KLSMPQ:
             self._shared.push(priority, eid)
             if self._recorder is not None:
                 self._recorder.record_insert(0.0, eid)
-        # sanitizer: allow(SAN104) prefill runs before the clock starts
+        # staticcheck: allow(SAN104) prefill runs before the clock starts
         self._shared_top.value = (
             self._shared.peek().priority if len(self._shared) else EMPTY
         )

@@ -199,7 +199,7 @@ class ConcurrentMultiQueue:
         """Refresh queue ``q``'s top cell from its heap (direct, used at
         prefill time and under the queue's lock)."""
         heap = self._heaps[q]
-        # sanitizer: allow(SAN104) prefill runs before the clock starts
+        # staticcheck: allow(SAN104) prefill runs before the clock starts
         self._tops[q].value = heap.peek().priority if len(heap) else EMPTY
 
     # -- metrics -------------------------------------------------------------

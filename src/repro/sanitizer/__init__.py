@@ -8,9 +8,9 @@ Two halves (see ``docs/simulator.md``, "The concurrency sanitizer"):
   (:mod:`.lockset`); :meth:`Sanitizer.report` classifies every finding
   against the models' lock-ownership annotations (:mod:`.annotations`).
   ``repro sanitize`` and the ``sanitized`` pytest fixture wrap this.
-* **Static** — ``repro lint`` (:mod:`.lint`) checks the syscall
-  discipline in ``src/repro/concurrent`` from the AST alone, using the
-  same annotations as ground truth.
+* **Static** — ``repro check`` (rules SAN101–106 in
+  :mod:`repro.staticcheck`) checks the syscall discipline and lock order
+  from the AST alone, using the same annotations as ground truth.
 
 Note: :mod:`.scenarios` is intentionally not imported here — the
 concurrent models import :mod:`.annotations` at class-definition time,

@@ -11,8 +11,9 @@ what protects each one, via the :func:`shared_state` class decorator:
     class ConcurrentMultiQueue: ...
 
 The declaration serves both halves of the sanitizer.  The **static**
-lint (:mod:`repro.sanitizer.lint`) reads it from the AST, so it checks
-the discipline without importing or instantiating anything.  The
+checker (``repro check``, :mod:`repro.staticcheck.discipline`) reads it
+from the AST, so it checks the discipline without importing or
+instantiating anything.  The
 **dynamic** detector (:mod:`repro.sanitizer.detector`) resolves it
 against live instances with :func:`resolve_policies`, mapping each
 ``SimCell`` identity to its policy and owning ``SimLock`` — list-valued

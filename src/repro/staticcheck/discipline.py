@@ -1,9 +1,8 @@
-"""``repro lint``: AST-level syscall-discipline checks for the models.
+"""Per-function syscall-discipline pass: rules SAN101–SAN104.
 
-The lint walks ``src/repro/concurrent/*.py`` without importing anything
-and enforces the discipline the dynamic sanitizer checks at runtime,
-using each class's :func:`~repro.sanitizer.annotations.shared_state`
-declaration (read straight from the AST) as ground truth:
+Each class's :func:`~repro.sanitizer.annotations.shared_state`
+declaration, read straight from the AST, is the ground truth for the
+discipline the dynamic sanitizer checks at runtime:
 
 ========  =============================================================
 SAN101    a ``Write``/``GuardedWrite`` reaches a guarded cell on a path
@@ -23,111 +22,51 @@ SAN104    raw attribute mutation of declared shared state
           (``cell.value = ...``) outside a syscall
 ========  =============================================================
 
-Intentional exceptions carry a suppression comment on the same line or
-the line above::
-
-    # sanitizer: allow(SAN104) prefill runs before the clock starts
-    self._tops[q].value = ...
-
-Suppressions are counted and listed in the report, never silent.
-
 The path analysis is a conservative abstract interpretation of each
 function body: the held-lock set is tracked through straight-line code,
 ``if`` branch forks (merged by intersection; terminated branches —
 ``return``/``continue``/``break``/``raise`` — drop out), ``while``
-loops (the post-loop state is the meet of the ``break`` states), and
-the try-lock idiom (``ok = yield TryAcquire(L)`` followed by ``if
+loops (the post-loop state is the meet of the ``break`` states),
+``try`` statements (each handler starts from the state at ``try``
+entry, ``else`` from the body's exit), ``with`` bodies, and the
+try-lock idiom (``ok = yield TryAcquire(L)`` followed by ``if
 ok:``/``if not ok:``).  Lock identity is syntactic: writes to a guarded
 cell accept *any* held lock of the owning guard array, because index
 aliasing (``_tops[chosen]`` under ``_locks[first]``/``_locks[second]``)
 is beyond static reach — the exact per-index pairing is the dynamic
-detector's job.
+detector's job.  Across call boundaries the lock-order pass
+(:mod:`~repro.staticcheck.lockorder`) takes over.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-RULES = {
-    "SAN101": "write to guarded cell without holding the owning lock",
-    "SAN102": "plain Write to a lease-guarded cell (use GuardedWrite)",
-    "SAN103": "blocking lock acquisition order not provably canonical",
-    "SAN104": "raw mutation of shared-cell state outside a syscall",
+from repro.staticcheck.callgraph import FunctionInfo, ModuleInfo, Project
+from repro.staticcheck.report import Finding
+
+#: The simulator syscalls both lock passes interpret, keyed by
+#: constructor name (the terminal of the call's canonical name).
+SYSCALL_KINDS = {
+    "Acquire": "acquire",
+    "TryAcquire": "try_acquire",
+    "Release": "release",
+    "Write": "write",
+    "GuardedWrite": "guarded_write",
 }
 
-_SUPPRESS_RE = re.compile(r"#\s*sanitizer:\s*allow\((SAN\d{3})\)\s*(.*)")
+
+def syscall_kind(module: ModuleInfo, call: ast.Call) -> Optional[str]:
+    """The :data:`SYSCALL_KINDS` kind of ``call``, or ``None``."""
+    name = module.canon(call.func)
+    return SYSCALL_KINDS.get(name.rsplit(".", 1)[-1]) if name else None
+
 
 #: A held lock, syntactically: (attribute name, index expression source
 #: or None for scalar locks), e.g. ("_locks", "q") or ("_shared_lock", None).
 LockToken = Tuple[str, Optional[str]]
-
-
-@dataclass(frozen=True)
-class Violation:
-    file: str
-    line: int
-    rule: str
-    message: str
-
-    def describe(self) -> str:
-        return f"{self.file}:{self.line}: {self.rule} {self.message}"
-
-
-@dataclass(frozen=True)
-class Suppressed:
-    file: str
-    line: int
-    rule: str
-    reason: str
-
-    def describe(self) -> str:
-        reason = self.reason or "(no reason given)"
-        return f"{self.file}:{self.line}: {self.rule} suppressed — {reason}"
-
-
-@dataclass
-class LintReport:
-    violations: List[Violation] = field(default_factory=list)
-    suppressed: List[Suppressed] = field(default_factory=list)
-    files_checked: int = 0
-    classes_checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def describe(self) -> str:
-        lines = [
-            f"lint: {self.files_checked} file(s), "
-            f"{self.classes_checked} annotated class(es), "
-            f"{len(self.violations)} violation(s), "
-            f"{len(self.suppressed)} suppression(s)"
-        ]
-        lines += ["  " + v.describe() for v in self.violations]
-        lines += ["  " + s.describe() for s in self.suppressed]
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        """Structured form of the report (``repro lint --json``), so CI
-        and ``repro check`` can merge lint output with checker reports."""
-        return {
-            "ok": self.ok,
-            "files_checked": self.files_checked,
-            "classes_checked": self.classes_checked,
-            "violations": [
-                {"file": v.file, "line": v.line, "rule": v.rule, "message": v.message}
-                for v in self.violations
-            ],
-            "suppressed": [
-                {"file": s.file, "line": s.line, "rule": s.rule, "reason": s.reason}
-                for s in self.suppressed
-            ],
-            "rules": dict(RULES),
-        }
 
 
 @dataclass(frozen=True)
@@ -196,7 +135,7 @@ def _callee_name(call: ast.Call) -> Optional[str]:
 # -- syntactic helpers ------------------------------------------------------
 
 
-def _self_attr(node: ast.expr) -> Optional[Tuple[str, Optional[str]]]:
+def _self_attr(node: ast.expr) -> Optional[LockToken]:
     """Decompose ``self.attr`` / ``self.attr[idx]`` into (attr, idx-src)."""
     if isinstance(node, ast.Subscript):
         inner = _self_attr(node.value)
@@ -212,16 +151,6 @@ def _self_attr(node: ast.expr) -> Optional[Tuple[str, Optional[str]]]:
     return None
 
 
-def _syscall(node: ast.expr) -> Optional[Tuple[str, ast.Call]]:
-    """If ``node`` is ``SyscallName(...)``, return (name, call)."""
-    if isinstance(node, ast.Call):
-        name = _callee_name(node)
-        if name in ("Acquire", "TryAcquire", "Release", "Write", "GuardedWrite",
-                    "Read", "CAS", "Holding", "BarrierWait", "Delay", "Yield"):
-            return (name, node)
-    return None
-
-
 def _contains_call(node: ast.AST, names: Set[str]) -> bool:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call) and _callee_name(sub) in names:
@@ -233,12 +162,30 @@ def _contains_call(node: ast.AST, names: Set[str]) -> bool:
 _TERMINATED = None
 
 
+def _meet(states: Sequence[Optional[Set[LockToken]]]) -> Optional[Set[LockToken]]:
+    """Intersect the non-terminated states; all terminated → terminated."""
+    live = [state for state in states if state is not _TERMINATED]
+    if not live:
+        return _TERMINATED
+    result = set(live[0])
+    for state in live[1:]:
+        result &= state
+    return result
+
+
 class _FunctionScan:
     """Abstract interpretation of one function body (see module docstring)."""
 
-    def __init__(self, linter: "Linter", func: ast.FunctionDef) -> None:
-        self.linter = linter
-        self.func = func
+    def __init__(
+        self,
+        fn: FunctionInfo,
+        policies: Dict[str, StaticPolicy],
+        findings: List[Finding],
+    ) -> None:
+        self.fn = fn
+        self.func = fn.node
+        self.policies = policies
+        self.findings = findings
         #: Name -> pending TryAcquire lock token (the try-lock idiom).
         self.try_vars: Dict[str, LockToken] = {}
         #: Stack of break-state collectors for enclosing loops.
@@ -248,14 +195,25 @@ class _FunctionScan:
         self.has_order_evidence = any(
             _contains_call(stmt, {"sorted"})
             or (_contains_call(stmt, {"min"}) and _contains_call(stmt, {"max"}))
-            for stmt in func.body
+            for stmt in self.func.body
+        )
+
+    def report(self, rule: str, line: int, message: str) -> None:
+        self.findings.append(
+            Finding(
+                rule=rule,
+                file=self.fn.module.rel,
+                line=line,
+                symbol=self.fn.qualname,
+                message=message,
+            )
         )
 
     def run(self) -> None:
         self.scan_block(self.func.body, set())
         for array, indices in self.blocking_indices.items():
             if len(indices) > 1 and not self.has_order_evidence:
-                self.linter.report(
+                self.report(
                     "SAN103",
                     self.func.lineno,
                     f"{self.func.name} blocking-acquires self.{array} at "
@@ -277,9 +235,7 @@ class _FunctionScan:
     def scan_stmt(
         self, stmt: ast.stmt, held: Set[LockToken]
     ) -> Optional[Set[LockToken]]:
-        if isinstance(stmt, (ast.Return, ast.Raise)):
-            return _TERMINATED
-        if isinstance(stmt, ast.Continue):
+        if isinstance(stmt, (ast.Return, ast.Raise, ast.Continue)):
             return _TERMINATED
         if isinstance(stmt, ast.Break):
             if self.break_states:
@@ -292,13 +248,21 @@ class _FunctionScan:
         if isinstance(stmt, ast.For):
             return self.scan_for(stmt, held)
         if isinstance(stmt, ast.Try):
-            held = self.scan_block(stmt.body, held)
-            if held is not _TERMINATED:
-                held = self.scan_block(stmt.finalbody, held)
-            return held
+            return self.scan_try(stmt, held)
+        if isinstance(stmt, ast.With):
+            for item in stmt.items:
+                held = self.scan_yields(stmt, item.context_expr, held)
+                if held is _TERMINATED:
+                    return _TERMINATED
+            return self.scan_block(stmt.body, held)
         if isinstance(stmt, (ast.Assign, ast.AugAssign)):
             self.check_raw_mutation(stmt)
-        for node in ast.walk(stmt):
+        return self.scan_yields(stmt, stmt, held)
+
+    def scan_yields(
+        self, stmt: ast.stmt, root: ast.AST, held: Set[LockToken]
+    ) -> Optional[Set[LockToken]]:
+        for node in ast.walk(root):
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 held = self.scan_yield(stmt, node, held)
                 if held is _TERMINATED:
@@ -323,28 +287,19 @@ class _FunctionScan:
         after_false = (
             self.scan_block(stmt.orelse, false_state) if stmt.orelse else false_state
         )
-        if after_true is _TERMINATED:
-            return after_false
-        if after_false is _TERMINATED:
-            return after_true
-        return after_true & after_false
+        return _meet([after_true, after_false])
 
     def scan_while(
         self, stmt: ast.While, held: Set[LockToken]
     ) -> Optional[Set[LockToken]]:
         self.break_states.append([])
         self.scan_block(stmt.body, set(held))
-        breaks = self.break_states.pop()
-        exits: List[Set[LockToken]] = list(breaks)
+        exits: List[Optional[Set[LockToken]]] = list(self.break_states.pop())
         infinite = isinstance(stmt.test, ast.Constant) and bool(stmt.test.value)
         if not infinite:
             exits.append(set(held))
-        if not exits:
-            return _TERMINATED  # while True with no break: nothing follows
-        result = exits[0]
-        for state in exits[1:]:
-            result &= state
-        return result
+        # while True with no break: nothing follows.
+        return _meet(exits)
 
     def scan_for(
         self, stmt: ast.For, held: Set[LockToken]
@@ -363,6 +318,23 @@ class _FunctionScan:
 
     _for_context: Optional[Tuple[Optional[str], ast.expr]] = None
 
+    def scan_try(
+        self, stmt: ast.Try, held: Set[LockToken]
+    ) -> Optional[Set[LockToken]]:
+        entry = set(held)
+        after = self.scan_block(stmt.body, held)
+        if after is not _TERMINATED:
+            after = self.scan_block(stmt.orelse, after)
+        exits = [after] + [
+            self.scan_block(handler.body, set(entry)) for handler in stmt.handlers
+        ]
+        merged = _meet(exits)
+        if merged is _TERMINATED:
+            # Every path leaves the statement, but the finally still runs.
+            self.scan_block(stmt.finalbody, entry)
+            return _TERMINATED
+        return self.scan_block(stmt.finalbody, merged)
+
     # -- syscall effects ---------------------------------------------------
 
     def scan_yield(
@@ -370,41 +342,30 @@ class _FunctionScan:
     ) -> Optional[Set[LockToken]]:
         if isinstance(yield_node, ast.YieldFrom):
             return held  # delegation: callee checked on its own
-        value = yield_node.value
-        if value is None:
+        call = yield_node.value
+        if not isinstance(call, ast.Call):
             return held
-        sc = _syscall(value)
-        if sc is None:
-            return held
-        name, call = sc
-        if name == "TryAcquire":
-            token = self.lock_token(call.args[0]) if call.args else None
+        kind = syscall_kind(self.fn.module, call)
+        if kind == "try_acquire":
+            token = _self_attr(call.args[0]) if call.args else None
             if token is not None and isinstance(stmt, ast.Assign):
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
                         self.try_vars[target.id] = token
-            return held
-        if name == "Acquire":
-            return self.on_acquire(call, held)
-        if name == "Release":
-            token = self.lock_token(call.args[0]) if call.args else None
+        elif kind == "acquire":
+            self.on_acquire(call, held)
+        elif kind == "release":
+            token = _self_attr(call.args[0]) if call.args else None
             if token is not None:
                 held.discard(token)
-            return held
-        if name == "Write":
-            self.on_write(call, held, guarded=False)
-            return held
-        if name == "GuardedWrite":
-            self.on_write(call, held, guarded=True)
-            return held
+        elif kind in ("write", "guarded_write"):
+            self.on_write(call, held, guarded=kind == "guarded_write")
         return held
 
-    def on_acquire(self, call: ast.Call, held: Set[LockToken]) -> Set[LockToken]:
-        if not call.args:
-            return held
-        token = self.lock_token(call.args[0])
+    def on_acquire(self, call: ast.Call, held: Set[LockToken]) -> None:
+        token = _self_attr(call.args[0]) if call.args else None
         if token is None:
-            return held
+            return
         array, index = token
         if index is not None:
             ctx = self._for_context
@@ -413,17 +374,16 @@ class _FunctionScan:
             )
             if in_loop_over_index:
                 if not self.iterable_is_sorted(ctx[1]):
-                    self.linter.report(
+                    self.report(
                         "SAN103",
                         call.lineno,
                         f"Acquire of self.{array}[{index}] iterates an "
-                        f"order the lint cannot prove ascending "
+                        f"order the checker cannot prove ascending "
                         f"(no sorted() evidence on the loop iterable)",
                     )
             else:
                 self.blocking_indices.setdefault(array, set()).add(index)
         held.add(token)
-        return held
 
     def iterable_is_sorted(self, iterable: ast.expr) -> bool:
         """``sorted(...)`` inline, or a local assigned from ``sorted(...)``."""
@@ -448,11 +408,11 @@ class _FunctionScan:
         if cell is None:
             return
         attr, _index = cell
-        policy = self.linter.policies.get(attr)
+        policy = self.policies.get(attr)
         if policy is None or policy.atomic or policy.guard is None:
             return
         if not guarded and policy.lease_guarded:
-            self.linter.report(
+            self.report(
                 "SAN102",
                 call.lineno,
                 f"plain Write to lease-guarded self.{attr} "
@@ -460,9 +420,9 @@ class _FunctionScan:
             )
             return
         if guarded and len(call.args) >= 3:
-            lock = self.lock_token(call.args[2])
+            lock = _self_attr(call.args[2])
             if lock is not None and lock[0] != policy.guard:
-                self.linter.report(
+                self.report(
                     "SAN101",
                     call.lineno,
                     f"GuardedWrite to self.{attr} names self.{lock[0]} "
@@ -470,15 +430,12 @@ class _FunctionScan:
                 )
                 return
         if not any(token[0] == policy.guard for token in held):
-            self.linter.report(
+            self.report(
                 "SAN101",
                 call.lineno,
                 f"write to self.{attr} on a path where no self.{policy.guard} "
                 f"lock is held",
             )
-
-    def lock_token(self, node: ast.expr) -> Optional[LockToken]:
-        return _self_attr(node)
 
     # -- raw mutation ------------------------------------------------------
 
@@ -488,69 +445,29 @@ class _FunctionScan:
             if not (isinstance(target, ast.Attribute) and target.attr == "value"):
                 continue
             base = _self_attr(target.value)
-            if base is None:
-                continue
-            if base[0] in self.linter.policies:
-                self.linter.report(
+            if base is not None and base[0] in self.policies:
+                self.report(
                     "SAN104",
                     stmt.lineno,
                     f"raw mutation of self.{base[0]}.value outside a syscall",
                 )
 
 
-class Linter:
-    """Lint one file's annotated classes."""
+def run_discipline_pass(project: Project) -> Tuple[List[Finding], List[str]]:
+    """Run SAN101–SAN104 over every function in the project.
 
-    def __init__(self, path: Path, report_into: LintReport) -> None:
-        self.path = path
-        self.rel = str(path)
-        self.out = report_into
-        self.policies: Dict[str, StaticPolicy] = {}
-        source = path.read_text()
-        self.tree = ast.parse(source, filename=str(path))
-        self.suppressions: Dict[int, Tuple[str, str]] = {}
-        for lineno, line in enumerate(source.splitlines(), start=1):
-            match = _SUPPRESS_RE.search(line)
-            if match:
-                self.suppressions[lineno] = (match.group(1), match.group(2).strip())
-
-    def run(self) -> None:
-        self.out.files_checked += 1
-        for node in self.tree.body:
-            if isinstance(node, ast.ClassDef):
-                spec = _extract_spec(node)
-                self.policies = spec or {}
-                if spec is not None:
-                    self.out.classes_checked += 1
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef):
-                        _FunctionScan(self, item).run()
-            elif isinstance(node, ast.FunctionDef):
-                self.policies = {}
-                _FunctionScan(self, node).run()
-
-    def report(self, rule: str, line: int, message: str) -> None:
-        for candidate in (line, line - 1):
-            entry = self.suppressions.get(candidate)
-            if entry is not None and entry[0] == rule:
-                self.out.suppressed.append(Suppressed(self.rel, line, rule, entry[1]))
-                return
-        self.out.violations.append(Violation(self.rel, line, rule, message))
-
-
-def default_paths() -> List[Path]:
-    """The lint's home turf: ``src/repro/concurrent/*.py``."""
-    root = Path(__file__).resolve().parents[1] / "concurrent"
-    return sorted(root.glob("*.py"))
-
-
-def lint_paths(paths: Optional[Sequence] = None) -> LintReport:
-    """Lint the given files (default: the concurrent package)."""
-    report = LintReport()
-    for path in [Path(p) for p in paths] if paths else default_paths():
-        if path.is_dir():
-            for sub in sorted(path.glob("*.py")):
-                Linter(sub, report).run()
-        else:
-            Linter(path, report).run()
-    return report
+    Returns ``(findings, annotated)``: ``annotated`` lists the classes
+    whose ``@shared_state`` declaration the pass enforced.
+    """
+    specs: Dict[str, Dict[str, StaticPolicy]] = {}
+    for qual, cls in sorted(project.classes.items()):
+        spec = _extract_spec(cls.node)
+        if spec is not None:
+            specs[qual] = spec
+    findings: List[Finding] = []
+    for fn in project.functions.values():
+        policies: Dict[str, StaticPolicy] = {}
+        if fn.class_name is not None:
+            policies = specs.get(fn.module.classes[fn.class_name].qualname, {})
+        _FunctionScan(fn, policies, findings).run()
+    return findings, sorted(specs)

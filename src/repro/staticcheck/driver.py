@@ -2,7 +2,8 @@
 
 Ties the pieces together: parse the tree into a :class:`Project`
 (:mod:`~repro.staticcheck.callgraph`), run the determinism pass
-(:mod:`~repro.staticcheck.determinism`) and the lock-order pass
+(:mod:`~repro.staticcheck.determinism`), the syscall-discipline pass
+(:mod:`~repro.staticcheck.discipline`) and the lock-order pass
 (:mod:`~repro.staticcheck.lockorder`), then apply inline
 ``# staticcheck: allow(RULE) reason`` comments and the optional baseline
 file (:mod:`~repro.staticcheck.report`).  The analyzed code is never
@@ -20,6 +21,7 @@ from repro.staticcheck.determinism import (
     DEFAULT_WALL_CLOCK_BOUNDARY,
     run_determinism_pass,
 )
+from repro.staticcheck.discipline import run_discipline_pass
 from repro.staticcheck.lockorder import run_lockorder_pass
 from repro.staticcheck.report import (
     CheckReport,
@@ -106,8 +108,9 @@ def run_check(
         entropy_boundary=entropy_boundary,
         wall_clock_boundary=wall_clock_boundary,
     )
+    san_findings, annotated = run_discipline_pass(project)
     lock_findings = run_lockorder_pass(project)
-    findings: List[Finding] = det_findings + lock_findings
+    findings: List[Finding] = det_findings + san_findings + lock_findings
 
     remaining, suppressed, void = apply_inline_suppressions(
         findings, _suppression_tables(project)
@@ -119,6 +122,7 @@ def run_check(
         modules_checked=len(project.modules),
         functions_checked=len(project.functions),
         roots=roots,
+        annotated_classes=annotated,
     )
     if baseline is not None:
         report = apply_baseline(report, load_baseline(baseline))

@@ -1,14 +1,16 @@
 """Interprocedural lock-order pass: rules SAN105 and SAN106.
 
-The per-function SAN103 lint proves ascending-index acquisition *within*
-one function body; the deadlock-freedom contract of the blocking-acquire
-paths (``hold_locks_op`` and whatever the buffered/NUMA variants add) is
-a **whole-program** property.  The moment an acquisition hides behind a
+The per-function SAN103 rule (:mod:`~repro.staticcheck.discipline`)
+proves ascending-index acquisition *within* one function body; the
+deadlock-freedom contract of the blocking-acquire paths
+(``hold_locks_op`` and whatever the buffered/NUMA variants add) is a
+**whole-program** property.  The moment an acquisition hides behind a
 helper call, SAN103 goes blind.  This pass doesn't:
 
 * Every function gets an ordered event stream — ``Acquire`` /
-  ``TryAcquire`` / ``Release`` syscalls (matched by terminal name, in or
-  out of ``yield``) plus resolved helper calls — and a **may-analysis
+  ``TryAcquire`` / ``Release`` syscalls (matched by terminal name
+  against the discipline pass's ``SYSCALL_KINDS`` table, in or out of
+  ``yield``) plus resolved helper calls — and a **may-analysis
   linear scan** tracks the set of lock tokens possibly held at each
   point.  A token is the ``(class, attribute)`` identity of the lock
   expression: ``self._locks[q]`` and ``self._locks[j]`` are one token
@@ -38,11 +40,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.staticcheck.callgraph import FunctionInfo, Project
+from repro.staticcheck.discipline import syscall_kind
 from repro.staticcheck.report import Finding
-
-ACQUIRE_NAMES = frozenset({"Acquire"})
-TRY_ACQUIRE_NAMES = frozenset({"TryAcquire"})
-RELEASE_NAMES = frozenset({"Release"})
 
 
 @dataclass(frozen=True)
@@ -90,16 +89,8 @@ def _events(fn: FunctionInfo) -> List[Tuple[int, int, str, object]]:
     for node in ast.walk(fn.node):
         if not isinstance(node, ast.Call):
             continue
-        name = fn.module.canon(node.func)
-        terminal = name.rsplit(".", 1)[-1] if name else None
-        kind = None
-        if terminal in ACQUIRE_NAMES:
-            kind = "acquire"
-        elif terminal in TRY_ACQUIRE_NAMES:
-            kind = "try_acquire"
-        elif terminal in RELEASE_NAMES:
-            kind = "release"
-        if kind is None or not node.args:
+        kind = syscall_kind(fn.module, node)
+        if kind not in ("acquire", "try_acquire", "release") or not node.args:
             continue
         token = _lock_token(node.args[0], fn)
         if token is None:

@@ -1,7 +1,7 @@
 """Findings, suppressions, baselines: the accounting half of ``repro check``.
 
-The reporting contract mirrors the sanitizer lint's, extended with a
-baseline file for whole-tree adoption:
+Every pass reports through one contract, with a baseline file for
+whole-tree adoption:
 
 * **Inline suppressions** — ``# staticcheck: allow(DET102) reason`` on
   the witness line or the line above silences exactly that rule at that
@@ -33,6 +33,10 @@ RULES = {
     "DET104": "builtin hash() (salted per process) reachable from a root",
     "DET105": "unordered set iteration feeding a deterministic root",
     "DET106": "module-level mutable state written from worker-executed code",
+    "SAN101": "write to guarded cell without holding the owning lock",
+    "SAN102": "plain Write to a lease-guarded cell (use GuardedWrite)",
+    "SAN103": "blocking lock acquisition order not provably canonical",
+    "SAN104": "raw mutation of shared-cell state outside a syscall",
     "SAN105": "lock array re-acquired through a helper call: ascending-index "
               "order is unprovable across the call boundary",
     "SAN106": "cycle in the static lock-acquisition graph",
@@ -102,6 +106,8 @@ class CheckReport:
     modules_checked: int = 0
     functions_checked: int = 0
     roots: List[str] = field(default_factory=list)
+    #: Classes whose ``@shared_state`` declaration SAN101–104 enforced.
+    annotated_classes: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -111,6 +117,7 @@ class CheckReport:
         lines = [
             f"check: {self.modules_checked} module(s), "
             f"{self.functions_checked} function(s), {len(self.roots)} root(s), "
+            f"{len(self.annotated_classes)} annotated class(es), "
             f"{len(self.findings)} finding(s), "
             f"{len(self.suppressed)} suppression(s)"
             + (f", {len(self.stale_baseline)} stale baseline entr(y/ies)"
@@ -136,6 +143,7 @@ class CheckReport:
             "modules_checked": self.modules_checked,
             "functions_checked": self.functions_checked,
             "roots": list(self.roots),
+            "annotated_classes": list(self.annotated_classes),
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [s.to_dict() for s in self.suppressed],
             "stale_baseline": list(self.stale_baseline),

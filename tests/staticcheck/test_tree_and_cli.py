@@ -1,5 +1,5 @@
-"""The checker against the real tree, and the `repro check` / `repro
-lint --json` command surface."""
+"""The checker against the real tree, and the `repro check` command
+surface."""
 
 import json
 
@@ -90,9 +90,11 @@ class TestCheckCli:
 
 class TestLintJson:
     def test_lint_json_structure(self, capsys):
-        assert main(["lint", "--json"]) == 0
+        assert main(["check", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        assert isinstance(payload["violations"], list)
+        assert isinstance(payload["findings"], list)
         # The tree carries reasoned SAN suppressions; they must be listed.
         assert all(s["reason"] for s in payload["suppressed"])
+        assert {"SAN101", "SAN102", "SAN103", "SAN104"} <= set(payload["rules"])
+        assert len(payload["annotated_classes"]) >= 4
