@@ -9,10 +9,14 @@ archives both the table and a machine-readable ``BENCH_vector.json``.
 """
 
 import json
+import os
+import platform
 
+import numpy as np
 from _helpers import RESULTS_DIR, emit, once
 
 from repro.bench.tables import format_table
+from repro.orchestrate import git_sha
 from repro.vector.sweep import compare_backends
 
 N = 256
@@ -50,6 +54,16 @@ def test_vector_backend(benchmark):
         ),
     )
     emit("vector_backend", table)
+    # Throughput means little without the machine it was measured on.
+    affinity = getattr(os, "sched_getaffinity", None)
+    result["host"] = {
+        "cpus_usable": len(affinity(0)) if affinity else None,
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": git_sha(),
+    }
     with open(RESULTS_DIR / "BENCH_vector.json", "w") as fh:
         json.dump(result, fh, indent=2)
 

@@ -9,6 +9,7 @@ can assert on it (e.g. "the second run must be 100% cache hits").
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import platform
 import subprocess
@@ -24,12 +25,19 @@ def git_sha(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
 
     Defaults to the checkout containing this package (not the caller's
     working directory — sweeps are routinely launched from scratch
-    dirs); returns ``None`` for installed, non-git deployments.
+    dirs); returns ``None`` for installed, non-git deployments.  Each
+    directory is asked once per process, so a sweep's manifest does not
+    start a ``git`` subprocess inside its wall time.
     """
+    return _rev_parse_head(str(cwd) if cwd else str(Path(__file__).resolve().parent))
+
+
+@functools.lru_cache(maxsize=None)
+def _rev_parse_head(cwd: str) -> Optional[str]:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(cwd) if cwd else str(Path(__file__).resolve().parent),
+            cwd=cwd,
             capture_output=True,
             text=True,
             timeout=5,

@@ -9,9 +9,16 @@ per-replica state held in rectangular numpy arrays —
   process inserts consecutive integers; the exponential process inserts
   global ranks), so each buffer is sorted by construction and its head
   is the queue's top element.
-* ``head``/``size`` — ``(R, n)`` ring positions and occupancies.
+* ``head``/``size``/``tops`` — ``(R, n)`` ring positions, occupancies
+  and top labels.
 * a :class:`~repro.vector.index.BatchedRankIndex` holding the
   present-label sets of all replicas for exact rank-cost accounting.
+
+Each state array also has a 1-D view, and the per-step kernel addresses
+replica ``r``'s queue ``q`` as ``lin = r * n + q`` (and its ring slot as
+``lin * cap + pos``): a 1-D gather or scatter of ``R`` elements costs
+about half of the equivalent 2-D fancy index, and a lockstep step is
+made of a few dozen such ``R``-element operations.
 
 The (1+beta) removal kernel is fully vectorized: gather the two
 candidate tops of every replica (empty queues read as ``+inf``), pick
@@ -38,12 +45,44 @@ EMPTY = np.iinfo(np.int64).max
 #: Removal steps per deferred-rank chunk.  The kernel advances queue
 #: state step by step, but rank costs are reconstructed one chunk at a
 #: time (one batched index query per chunk), which amortizes the
-#: per-call overhead of the rank index across CHUNK_STEPS steps.
+#: per-call overhead of the rank index across CHUNK_STEPS steps.  At
+#: most 64: :func:`_earlier_smaller` keeps a chunk's steps in one
+#: uint64 bitmask.
 CHUNK_STEPS = 64
+
+#: ``_BELOW[t]`` has bits ``0..t-1`` set: the steps before step ``t``.
+_BELOW = np.array([(1 << t) - 1 for t in range(64)], dtype=np.uint64)
+_ONE = np.uint64(1)
 
 
 def _pow2_at_least(x: int) -> int:
     return 1 << max(4, math.ceil(math.log2(max(1, x))))
+
+
+def queue_key_type(n_queues: int) -> type:
+    """Smallest dtype for queue ids: ``uint16`` (NumPy radix-sorts it
+    stably) when they fit, else ``int64``."""
+    return np.uint16 if n_queues <= 1 << 16 else np.int64
+
+
+def _earlier_smaller(removed: np.ndarray) -> np.ndarray:
+    """``out[t, r] = #{s < t : removed[s, r] < removed[t, r]}``.
+
+    ``removed`` is ``(k, R)`` with ``k <= 64`` and distinct labels in
+    each column.  Walk each column in label order, OR-ing step bits:
+    before a label is reached, the mask holds exactly the steps with
+    smaller labels, and the answer is the popcount of that mask
+    restricted to the earlier steps — ``O(k R)`` work where the direct
+    pairwise comparison is ``O(k^2 R)``.
+    """
+    order = np.argsort(removed, axis=0)
+    step_bits = _ONE << order.astype(np.uint64)
+    smaller = np.bitwise_or.accumulate(step_bits, axis=0)
+    smaller ^= step_bits  # inclusive -> exclusive: labels strictly below
+    smaller &= _BELOW[order]
+    out = np.empty(removed.shape, dtype=np.int64)
+    np.put_along_axis(out, order, np.bitwise_count(smaller), axis=0)
+    return out
 
 
 class VectorProcessBase:
@@ -67,7 +106,8 @@ class VectorProcessBase:
         self._source = source
         self._index = BatchedRankIndex(replicas, capacity)
         self._rows = np.arange(replicas, dtype=np.int64)
-        self._qids = np.arange(n_queues, dtype=np.int64)
+        #: Flat offset of each replica's row in the ``(R, n)`` arrays.
+        self._row_base = self._rows * n_queues
         self._buf: Optional[np.ndarray] = None
         self._head: Optional[np.ndarray] = None
         self._size: Optional[np.ndarray] = None
@@ -77,6 +117,14 @@ class VectorProcessBase:
         self._tops = np.full((replicas, n_queues), EMPTY, dtype=np.int64)
         self._cap = 0
         self._capmask = 0
+        self._capshift = 0
+        self._bind_views()
+        #: False only while every queue of every replica is known to be
+        #: non-empty.  Then no top can be EMPTY, so the kernel skips the
+        #: empty-queue checks: appends never change a top, and removal
+        #: needs no redraw test.  Set by any pop that empties a queue;
+        #: re-derived from the sizes once per chunk.
+        self._may_have_empty = True
         #: Upper bound on the current max queue size (grows by one per
         #: append, re-tightened only when it reaches the ring capacity),
         #: so the append hot path checks a scalar instead of scanning.
@@ -122,34 +170,57 @@ class VectorProcessBase:
 
     # -- buffer management ----------------------------------------------
 
+    def _bind_views(self) -> None:
+        """Point the flat views at the state arrays.
+
+        Every array is allocated C-contiguous, so each ``reshape(-1)`` is
+        a view; call this again whenever an array is replaced.
+        """
+        self._tops_flat = self._tops.reshape(-1)
+        if self._buf is not None:
+            self._buf_flat = self._buf.reshape(-1)
+            self._head_flat = self._head.reshape(-1)
+            self._size_flat = self._size.reshape(-1)
+
+    def _set_capacity(self, cap: int) -> None:
+        self._cap = cap
+        self._capmask = cap - 1
+        self._capshift = cap.bit_length() - 1
+
     def _alloc_from_assignment(self, assign: np.ndarray) -> None:
         """Build the ring buffers from an ``(R, m)`` queue assignment.
 
         ``assign[r, t]`` is the queue receiving label ``t`` in replica
         ``r``; labels ``0..m-1`` are laid out in increasing order within
-        each queue (a stable grouping sort per replica).
+        each queue (a stable grouping sort per replica).  Queue ids sort
+        as ``uint16`` keys when they fit, which takes NumPy's radix
+        path; every temporary is one replica's ``(m,)`` row.
         """
         replicas, m = assign.shape
         n = self.n_queues
-        counts = np.zeros((replicas, n), dtype=np.int64)
-        np.add.at(counts, (self._rows[:, None], assign), 1)
+        counts = np.empty((replicas, n), dtype=np.int64)
+        for r in range(replicas):
+            counts[r] = np.bincount(assign[r], minlength=n)
         max_size = int(counts.max()) if m else 0
         cap = _pow2_at_least(max_size + 8 + 4 * math.isqrt(max_size + 1))
         self._buf = np.zeros((replicas, n, cap), dtype=np.int64)
         self._head = np.zeros((replicas, n), dtype=np.int64)
         self._size = counts
-        self._cap = cap
-        self._capmask = cap - 1
+        self._set_capacity(cap)
         self._watermark = max_size
         labels = np.arange(m, dtype=np.int64)
-        queue_range = np.arange(n)
+        queue_slots = np.arange(n, dtype=np.int64) * cap
+        key_type = queue_key_type(n)
         for r in range(replicas):
-            order = np.argsort(assign[r], kind="stable")
-            grouped = assign[r][order]
-            starts = np.searchsorted(grouped, queue_range)
-            within = labels - starts[grouped]
-            self._buf[r, grouped, within] = order
+            keys = np.ascontiguousarray(assign[r], dtype=key_type)
+            order = np.argsort(keys, kind="stable")
+            # Sorted position p holds the (p - start[q])-th label of its
+            # queue q, which lands in slot q * cap + p - start[q].
+            offset = queue_slots - (np.cumsum(counts[r]) - counts[r])
+            self._buf[r].reshape(-1)[labels + np.repeat(offset, counts[r])] = order
         self._tops = np.where(counts > 0, self._buf[:, :, 0], EMPTY)
+        self._may_have_empty = bool(counts.min() == 0)
+        self._bind_views()
 
     def _grow(self) -> None:
         """Double ring capacity, re-linearizing every queue to head 0."""
@@ -160,26 +231,27 @@ class VectorProcessBase:
         new[:, :, :cap] = linear
         self._buf = new
         self._head.fill(0)
-        self._cap = 2 * cap
-        self._capmask = 2 * cap - 1
+        self._set_capacity(2 * cap)
+        self._bind_views()
 
     def _append(self, queues: np.ndarray, label: int) -> None:
         """Append ``label`` to per-replica ``queues`` (one per replica)."""
-        rows = self._rows
         if self._watermark >= self._cap:
             actual = int(self._size.max())
             if actual >= self._cap:
                 self._grow()
             self._watermark = actual
         self._watermark += 1
-        sizes = self._size[rows, queues]
-        pos = (self._head[rows, queues] + sizes) & self._capmask
-        self._buf[rows, queues, pos] = label
-        self._size[rows, queues] = sizes + 1
+        lin = self._row_base + queues
+        sizes = self._size_flat[lin]
+        pos = (self._head_flat[lin] + sizes) & self._capmask
+        self._buf_flat[(lin << self._capshift) + pos] = label
+        self._size_flat[lin] = sizes + 1
         # Labels enter in increasing order, so the top changes only when
-        # the queue was empty.
-        tops = self._tops
-        tops[rows, queues] = np.where(sizes == 0, label, tops[rows, queues])
+        # the queue was empty (top EMPTY, the one value above label).
+        if self._may_have_empty:
+            tops = self._tops_flat
+            tops[lin] = np.minimum(tops[lin], label)
 
     def _tops_at(self, rows: np.ndarray, queues: np.ndarray) -> np.ndarray:
         """Top label of ``queues[k]`` in replica ``rows[k]`` (EMPTY if none)."""
@@ -189,12 +261,14 @@ class VectorProcessBase:
 
     def _choose_removal_queues(self) -> np.ndarray:
         """One (1+beta) queue choice per replica, redrawing on empties."""
-        rows = self._rows
+        base, tops = self._row_base, self._tops_flat
         two, i, j = self._source.removal_draws()
-        ti = self._tops_at(rows, i)
-        tj = self._tops_at(rows, j)
+        ti = tops[base + i]
+        tj = tops[base + j]
         better_j = two & (tj < ti)
         pick = np.where(better_j, j, i)
+        if not self._may_have_empty:
+            return pick
         # The chosen queue's top is EMPTY iff both candidates were empty
         # (or the single candidate was): tj < ti is false when both are
         # EMPTY, so where(better_j, tj, ti) is the chosen top.
@@ -218,15 +292,21 @@ class VectorProcessBase:
         Returns ``(labels, queues)``; the rank index is *not* updated
         (callers either update it immediately or defer a whole chunk).
         """
-        rows = self._rows
         pick = self._choose_removal_queues()
-        heads = self._head[rows, pick]
-        labels = self._buf[rows, pick, heads & self._capmask]
-        sizes = self._size[rows, pick] - 1
-        self._head[rows, pick] = heads + 1
-        self._size[rows, pick] = sizes
-        successor = self._buf[rows, pick, (heads + 1) & self._capmask]
-        self._tops[rows, pick] = np.where(sizes > 0, successor, EMPTY)
+        lin = self._row_base + pick
+        tops = self._tops_flat
+        # A queue's head is its top, so the popped label is read from tops.
+        labels = tops[lin]
+        heads = self._head_flat[lin] + 1
+        sizes = self._size_flat[lin] - 1
+        self._head_flat[lin] = heads
+        self._size_flat[lin] = sizes
+        successor = self._buf_flat[(lin << self._capshift) + (heads & self._capmask)]
+        if not self._may_have_empty and sizes.min() > 0:
+            tops[lin] = successor
+        else:
+            tops[lin] = np.where(sizes > 0, successor, EMPTY)
+            self._may_have_empty = True
         self._removal_steps += 1
         return labels, pick
 
@@ -243,14 +323,6 @@ class VectorProcessBase:
 
     # -- deferred chunk rank accounting ----------------------------------
 
-    def _tril_mask(self, k: int) -> np.ndarray:
-        """Cached ``(k, k, 1)`` strict-lower-triangle mask (``s < t``)."""
-        cached = getattr(self, "_tril_cache", None)
-        if cached is None or cached.shape[0] < k:
-            self._tril_cache = np.tril(np.ones((k, k), dtype=bool), -1)[:, :, None]
-            cached = self._tril_cache
-        return cached[:k, :k]
-
     def _flush_chunk(
         self, removed: np.ndarray, insert_start: int, insert_count: int
     ) -> np.ndarray:
@@ -264,7 +336,7 @@ class VectorProcessBase:
           + #{chunk inserts before step t with label <= x_t}   (closed form:
               inserts are the consecutive labels insert_start + i, one
               per step, inserted *before* removal i)
-          - #{chunk removals s < t with x_s < x_t}      (pairwise count)
+          - #{chunk removals s < t with x_s < x_t}      (_earlier_smaller)
 
         which is exactly the rank :class:`~repro.core.rank.RankOracle`
         would have reported step by step.
@@ -274,8 +346,9 @@ class VectorProcessBase:
         if insert_count:
             limit = np.minimum(np.arange(1, k + 1), insert_count)[:, None]
             ranks += np.clip(removed - insert_start + 1, 0, limit)
-        earlier_smaller = removed[None, :, :] < removed[:, None, :]
-        ranks -= (earlier_smaller & self._tril_mask(k)).sum(axis=1)
+        ranks -= _earlier_smaller(removed)
+        if self._may_have_empty:
+            self._may_have_empty = bool(self._size.min() == 0)
         self._index.apply_chunk(insert_start, insert_count, removed)
         return ranks
 

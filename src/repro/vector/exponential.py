@@ -171,9 +171,11 @@ class VectorExponentialTopProcess:
         gen = as_generator(rng)
         self._rng = gen
         self._chooser = BatchedChooser(n_queues, beta, replicas, rng=gen)
-        self._rows = np.arange(replicas, dtype=np.int64)
+        #: Flat offset of each replica's row in ``_tops``.
+        self._row_base = np.arange(replicas, dtype=np.int64) * n_queues
         # First renewal of each bin, as in the reference t=0 state.
         self._tops = gen.exponential(self._means, size=(replicas, n_queues))
+        self._tops_flat = self._tops.reshape(-1)
         self.steps = 0
 
     @property
@@ -184,11 +186,11 @@ class VectorExponentialTopProcess:
     def step(self) -> np.ndarray:
         """One (1+beta) removal per replica; returns the bins removed from."""
         two, i, j = self._chooser.removal_draws()
-        rows = self._rows
-        ti = self._tops[rows, i]
-        tj = self._tops[rows, j]
+        base, tops = self._row_base, self._tops_flat
+        ti = tops[base + i]
+        tj = tops[base + j]
         pick = np.where(two & (tj < ti), j, i)
-        self._tops[rows, pick] += self._rng.exponential(self._means[pick])
+        tops[base + pick] += self._rng.exponential(self._means[pick])
         self.steps += 1
         return pick
 

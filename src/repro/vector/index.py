@@ -56,6 +56,9 @@ def _prefix_masks() -> np.ndarray:
 
 
 _PREFIX_MASKS = _prefix_masks()
+#: The two word columns of ``_PREFIX_MASKS``, for 1-D gathers.
+_PREFIX_LO = np.ascontiguousarray(_PREFIX_MASKS[:, 0])
+_PREFIX_HI = np.ascontiguousarray(_PREFIX_MASKS[:, 1])
 
 
 class BatchedRankIndex:
@@ -88,8 +91,17 @@ class BatchedRankIndex:
         self._supers = np.zeros((replicas, n_super), dtype=np.int64)
         # View for the superblock-windowed point query.
         self._blocks3 = self._blocks.reshape(replicas, n_super, per_super)
+        # 1-D views and per-replica row offsets for the chunk path, which
+        # addresses every level with one flat index (``row_base + i``).
+        self._word_flat = self._bits.reshape(-1)
+        self._blocks_flat = self._blocks.reshape(-1)
+        self._supers_flat = self._supers.reshape(-1)
         self._count = 0
         self._rows = np.arange(replicas, dtype=np.int64)
+        self._word_base = self._rows * (n_blocks * _WORDS)
+        self._block_base = self._rows * self._blocks.shape[1]
+        self._super_base = self._rows * n_super
+        self._prefix_base = (self._rows * (n_blocks + 1))[:, None]
         self._super_offsets = np.arange(per_super, dtype=np.int64)
         self._super_ids = np.arange(n_super, dtype=np.int64)
 
@@ -212,23 +224,28 @@ class BatchedRankIndex:
                 if last_word - first_word > 1:
                     flat[:, first_word + 1 : last_word] = _ALL_ONES
                 flat[:, last_word] |= np.uint64((1 << (last_bit + 1)) - 1)
-            labels = np.arange(insert_start, stop)
-            blocks, per_block = np.unique(labels >> _BLOCK_SHIFT, return_counts=True)
-            self._blocks[:, blocks] += per_block
-            supers, inverse = np.unique(blocks // self._per_super, return_inverse=True)
-            self._supers[:, supers] += np.bincount(inverse, weights=per_block).astype(
-                np.int64
-            )
+            first_block, last_block = insert_start >> _BLOCK_SHIFT, (stop - 1) >> _BLOCK_SHIFT
+            for block in range(first_block, last_block + 1):
+                added = min(stop, (block + 1) * BLOCK) - max(insert_start, block * BLOCK)
+                self._blocks[:, block] += added
+                self._supers[:, block // self._per_super] += added
             self._count += insert_count
         if removed is not None and removed.size:
             k = removed.shape[0]
-            rows = np.broadcast_to(self._rows, (k, self.replicas))
-            blocks = removed >> _BLOCK_SHIFT
-            words = (removed >> 6) & 1
+            # One replica may clear several bits of one word, block or
+            # superblock: the words need an unbuffered ``ufunc.at``; the
+            # counts are a bincount over flat (replica, block) cells.
             keep = ~(np.uint64(1) << (removed & np.int64(63)).astype(np.uint64))
-            np.bitwise_and.at(self._bits, (rows, blocks, words), keep)
-            np.subtract.at(self._blocks, (rows, blocks), 1)
-            np.subtract.at(self._supers, (rows, blocks // self._per_super), 1)
+            words = (removed >> 6) + self._word_base
+            np.bitwise_and.at(self._word_flat, words.ravel(), keep.ravel())
+            blocks = removed >> _BLOCK_SHIFT
+            self._blocks_flat -= np.bincount(
+                (blocks + self._block_base).ravel(), minlength=self._blocks_flat.size
+            )
+            self._supers_flat -= np.bincount(
+                (blocks // self._per_super + self._super_base).ravel(),
+                minlength=self._supers_flat.size,
+            )
             self._count -= k
 
     # -- queries -----------------------------------------------------------
@@ -272,14 +289,13 @@ class BatchedRankIndex:
 
         Labels need not be present (this is the batched
         :meth:`~repro.core.rank.RankOracle.rank_of_value`).  The batch
-        path: one block prefix-sum per call, then two gathers per query
-        — what the engine's deferred-rank flush and the top-rank
+        path: one block prefix-sum per call, then two flat gathers per
+        query — what the engine's deferred-rank flush and the top-rank
         snapshots use.
         """
         labels = np.asarray(labels)
         if labels.ndim != 2 or labels.shape[0] != self.replicas:
             raise ValueError(f"expected ({self.replicas}, Q) labels, got {labels.shape}")
-        q = labels.shape[1]
         labels = np.clip(labels, 0, self.capacity - 1)
         blocks = labels >> _BLOCK_SHIFT
         # blocks_before[r, b] = total present labels in blocks < b.
@@ -287,11 +303,12 @@ class BatchedRankIndex:
         np.cumsum(
             self._blocks[:, : self._n_blocks], axis=1, out=blocks_before[:, 1:]
         )
-        rows_grid = self._rows[:, None]
-        counts = blocks_before[rows_grid, blocks]
-        words = self._bits[rows_grid, blocks]
-        masked = words & _PREFIX_MASKS[labels & _BLOCK_MASK]
-        counts += np.bitwise_count(masked).sum(axis=2, dtype=np.int64)
+        counts = blocks_before.ravel()[blocks + self._prefix_base]
+        # The label's block is words 2b and 2b+1 of its replica's bitmap.
+        lo = (blocks << 1) + self._word_base[:, None]
+        within = labels & _BLOCK_MASK
+        counts += np.bitwise_count(self._word_flat[lo] & _PREFIX_LO[within])
+        counts += np.bitwise_count(self._word_flat[lo + 1] & _PREFIX_HI[within])
         return counts
 
     def __repr__(self) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.policies import uniform_insert_probs
 from repro.utils.rngtools import SeedLike
 from repro.vector.chooser import BatchedChooser
-from repro.vector.engine import CHUNK_STEPS, EMPTY, VectorProcessBase
+from repro.vector.engine import CHUNK_STEPS, EMPTY, VectorProcessBase, queue_key_type
 from repro.vector.records import VectorRunResult
 
 
@@ -98,10 +98,11 @@ class VectorSequentialProcess(VectorProcessBase):
                 f"capacity {self.capacity} exhausted; size the process larger"
             )
         if self._buf is None and self._next_label == 0:
-            choices = np.empty((self.replicas, m), dtype=np.int64)
+            # Step-major, so each draw is one contiguous row write.
+            choices = np.empty((m, self.replicas), dtype=queue_key_type(self.n_queues))
             for t in range(m):
-                choices[:, t] = self._draw_insert_queues(t)
-            self._alloc_from_assignment(choices)
+                choices[t] = self._draw_insert_queues(t)
+            self._alloc_from_assignment(choices.T)
             self._index.bulk_fill(m)
             self._next_label = m
         else:

@@ -156,3 +156,30 @@ class TestManifestMerge:
                    "attempts": 3, "wall_s_per_attempt": [], "traceback": ""}
         m = RunManifest(fn="f", n_cells=2, failures=[failure])
         assert "quarantined=1" in m.describe()
+
+
+class TestGitShaCache:
+    def test_two_sweeps_start_one_git_subprocess(self, monkeypatch):
+        from repro.orchestrate import manifest
+
+        calls = []
+        real_run = manifest.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(manifest.subprocess, "run", counting_run)
+        manifest._rev_parse_head.cache_clear()
+        first = run_cells(affine_cell, expand_grid("x", [1], [0]))
+        second = run_cells(affine_cell, expand_grid("x", [2], [0]))
+        assert len(calls) == 1
+        assert first.manifest.git_sha == second.manifest.git_sha == git_sha()
+
+    def test_cache_is_keyed_on_directory(self, tmp_path):
+        from repro.orchestrate import manifest
+
+        manifest._rev_parse_head.cache_clear()
+        assert git_sha(tmp_path) is None  # not a checkout
+        assert git_sha() is not None  # a different key, asked separately
+        assert manifest._rev_parse_head.cache_info().misses == 2

@@ -21,6 +21,7 @@ from repro.core.process import SequentialProcess
 from repro.core.round_robin import RoundRobinProcess
 from repro.core.single_choice import SingleChoiceProcess
 from repro.vector.chooser import ReferenceMirror
+from repro.vector.engine import VectorProcessBase
 from repro.vector.labelled import (
     VectorDChoiceProcess,
     VectorRoundRobinProcess,
@@ -100,6 +101,36 @@ class TestExactTraceParity:
             ref = DChoiceProcess(n, cap, d=d, rng=np.random.default_rng(seed))
             trace = ref.run_steady_state(prefill, steps)
             np.testing.assert_array_equal(result.ranks[:, r], trace.ranks)
+
+    def test_grow_mid_run_matches_reference(self, monkeypatch):
+        # A small bulk prefill sizes the rings for ~2 labels per queue;
+        # the insert()-driven fill that follows must double them, and
+        # the removals after it run on the regrown rings.
+        grows = []
+        grow = VectorProcessBase._grow
+
+        def counted_grow(proc):
+            grows.append(proc._cap)
+            grow(proc)
+
+        monkeypatch.setattr(VectorProcessBase, "_grow", counted_grow)
+        n, first, prefill, steps = 4, 8, 400, 150
+        cap = prefill + steps
+        mirror = ReferenceMirror(n, 0.6, SEEDS)
+        vec = VectorSequentialProcess(n, cap, len(SEEDS), beta=0.6, source=mirror)
+        vec.prefill(first)
+        vec.prefill(prefill - first)
+        assert grows, "the insert-driven fill never grew the rings"
+        steady = vec.run_steady_state(0, steps)
+        drained = vec.run_drain(prefill)
+        assert vec.present_count == 0
+        for r, seed in enumerate(SEEDS):
+            ref = SequentialProcess(n, cap, beta=0.6, rng=np.random.default_rng(seed))
+            trace = ref.run_steady_state(prefill, steps)
+            np.testing.assert_array_equal(steady.ranks[:, r], trace.ranks)
+            ranks = [ref.remove().rank for _ in range(prefill)]
+            np.testing.assert_array_equal(drained.ranks[:, r], ranks)
+            assert drained.empty_redraws[r] == ref.empty_redraws
 
     def test_round_robin_matches_reference(self):
         n, prefill, steps = 8, 400, 150

@@ -159,6 +159,36 @@ class TestAgainstOracle:
         np.testing.assert_array_equal(
             stepwise.count_leq_grid(grid), chunked.count_leq_grid(grid)
         )
+        # A chunk of colliding removals, which one scatter per level
+        # would undercount: replica 0 clears one whole bit-word (labels
+        # 0..63 share a word, a block and a superblock), replica 1 takes
+        # 64 labels from both words of block 1, replica 2 64 labels
+        # spread over the blocks of superblock 1.
+        stepwise = BatchedRankIndex(replicas, capacity)
+        chunked = BatchedRankIndex(replicas, capacity)
+        for label in range(600):
+            stepwise.insert_all(label)
+            chunked.insert_all(label)
+        span = chunked._per_super * BLOCK
+        removed = np.stack(
+            [
+                np.arange(64),
+                BLOCK + np.arange(0, BLOCK, 2),
+                span + rng.choice(span, size=64, replace=False),
+            ],
+            axis=1,
+        )
+        for t in range(64):
+            stepwise.insert_all(600 + t)
+            stepwise.remove(removed[t])
+        chunked.apply_chunk(600, 64, removed)
+        assert stepwise.present_count == chunked.present_count
+        np.testing.assert_array_equal(
+            stepwise.count_leq_grid(grid), chunked.count_leq_grid(grid)
+        )
+        np.testing.assert_array_equal(stepwise._bits, chunked._bits)
+        np.testing.assert_array_equal(stepwise._blocks, chunked._blocks)
+        np.testing.assert_array_equal(stepwise._supers, chunked._supers)
 
     def test_apply_chunk_insert_range_validation(self):
         index = BatchedRankIndex(2, 100)
