@@ -168,7 +168,6 @@ def sweep(
     on_error: str = "raise",
     policy: Optional["RetryPolicy"] = None,
     fault_hook: Optional[Callable] = None,
-    max_pool_restarts: int = 3,
     **fixed,
 ) -> List[Dict]:
     """Sweep one parameter, reducing numeric outputs across seeds.
@@ -208,7 +207,6 @@ def sweep(
         workers=workers, cache_dir=cache_dir, manifest_path=manifest_path,
         retries=retries, cell_timeout=cell_timeout, deadline=deadline,
         on_error=on_error, policy=policy, fault_hook=fault_hook,
-        max_pool_restarts=max_pool_restarts,
         **fixed,
     )
     # Group by parameter value rather than slicing len(seeds)-sized
@@ -251,7 +249,6 @@ def sweep_cells(
     on_error: str = "raise",
     policy: Optional["RetryPolicy"] = None,
     fault_hook: Optional[Callable] = None,
-    max_pool_restarts: int = 3,
     **fixed,
 ):
     """Run a sweep grid through the orchestrator without reducing.
@@ -274,7 +271,6 @@ def sweep_cells(
         fn, cells, workers=workers, cache=cache, config=config,
         policy=policy, cell_timeout=cell_timeout, deadline=deadline,
         on_error=on_error, fault_hook=fault_hook,
-        max_pool_restarts=max_pool_restarts,
     )
     if manifest_path is not None and run.manifest is not None:
         run.manifest.write(manifest_path)
@@ -302,9 +298,9 @@ def queue_worker(
 ):
     """Attach one worker to a shared-filesystem job queue and drain it.
 
-    The multi-host sibling of :func:`sweep_cells`: instead of executing
-    the grid in this process's pool, the grid is materialised as a
-    :class:`repro.orchestrate.JobQueue` under ``queue_dir`` (created by
+    The multi-host sibling of :func:`sweep_cells`: the grid is
+    materialised as a :class:`repro.orchestrate.JobQueue` under a shared
+    ``queue_dir`` rather than a private temporary one (created by
     whichever worker arrives first; later arrivals validate the spec
     hash and join) and *this* process becomes one
     :class:`repro.orchestrate.QueueWorker`.  Start the same invocation

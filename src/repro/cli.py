@@ -174,9 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cell-timeout",
         type=float,
         default=None,
-        help="per-cell soft timeout in seconds: an over-budget cell counts "
-        "as a failed attempt (parallel mode abandons it and respawns the "
-        "worker pool; serial mode checks after the cell returns)",
+        help="per-cell timeout in seconds: an over-budget cell counts as a "
+        "failed attempt (with --workers > 1 the worker running it is killed "
+        "and replaced; serial mode checks after the cell returns)",
     )
     p.add_argument(
         "--deadline",
@@ -194,12 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the first exhausted cell.  Exit codes: 0 = every cell completed "
         "(and, with --backend both, parity held); 1 = quarantined cells "
         "(the summary line reports quarantined=N) or a parity failure",
-    )
-    p.add_argument(
-        "--max-pool-restarts",
-        type=int,
-        default=3,
-        help="worker-pool rebuild budget after crashed workers or hung cells",
     )
     p.add_argument(
         "--fault-plan",
@@ -812,7 +806,6 @@ def cmd_sweep(args) -> None:
         deadline=args.deadline,
         on_error=args.on_error,
         fault_hook=fault_hook,
-        max_pool_restarts=args.max_pool_restarts,
         **common,
     )
     if args.workers or args.cache_dir or manifest_path or not run.ok:

@@ -13,21 +13,21 @@ and git SHA.
 Fault tolerance lives in :mod:`repro.orchestrate.policy`: a
 :class:`RetryPolicy` grants failing cells more attempts (exponential
 backoff, deterministic jitter, retryable-vs-fatal classification),
-``cell_timeout``/``deadline`` bound cell and sweep durations, crashed
-worker pools are rebuilt and only unfinished cells resubmitted, and
+``cell_timeout``/``deadline`` bound cell and sweep durations, a crashed
+worker's lease is released and the worker replaced, and
 ``on_error="quarantine"`` records exhausted cells in the manifest's
 ``failures`` section instead of aborting the sweep.  A
 :class:`SweepFaultPlan` injects deterministic faults (transient raise,
 oversleep, worker SIGKILL) for chaos-testing the orchestration itself.
 
-Multi-host sweeps live in :mod:`repro.orchestrate.queue` and
+Every multi-process sweep runs on :mod:`repro.orchestrate.queue` and
 :mod:`repro.orchestrate.worker`: a :class:`JobQueue` materialises the
-grid as a shared-filesystem queue directory, and any number of
-:class:`QueueWorker`\\ s (the ``repro worker`` CLI) claim cells through
-lease files carrying fencing tokens — crashed workers' leases are taken
-over after ``lease_ttl_s`` without heartbeats, and a resurrected
-zombie's late write is fenced rather than applied.  Per-worker shard
-manifests merge into one queue-wide record via
+grid as a queue directory — temporary for ``run_cells(workers=N)``,
+shared by any number of ``repro worker`` processes across hosts — and
+:class:`QueueWorker`\\ s claim cells through lease files carrying
+fencing tokens: crashed workers' leases are taken over, and a
+resurrected zombie's late write is fenced rather than applied.
+Per-worker shard manifests merge into one queue-wide record via
 :meth:`RunManifest.merge`.
 
 See ``docs/usage.md`` ("Resumable parallel sweeps", "Surviving flaky

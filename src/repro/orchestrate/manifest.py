@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.orchestrate.cache import jsonify
+from repro.orchestrate.cells import Cell
 
 
 def git_sha(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
@@ -68,15 +69,12 @@ class RunManifest:
     #: Failure-triggered re-executions across the whole run (a cell that
     #: succeeded on its third attempt contributes 2).
     retries: int = 0
-    #: Times the worker pool was rebuilt — after a crashed worker
-    #: (``BrokenProcessPoolError``) or an abandoned hung cell.
-    pool_restarts: int = 0
     #: Cache entries found corrupt/truncated at lookup (treated as misses).
     cache_corrupt: int = 0
     #: Corrupt entries overwritten by a subsequent successful compute.
     cache_repairs: int = 0
-    #: Distributed queue only: leases this run claimed from a worker
-    #: whose heartbeats had gone stale (crash takeover).
+    #: Leases handed on from a worker that died holding them (taken over
+    #: once stale, or released by the ``workers > 1`` supervisor).
     takeovers: int = 0
     #: Distributed queue only: late writes discarded because the
     #: writer's fencing token had been superseded by a takeover.
@@ -118,7 +116,6 @@ class RunManifest:
                 "elapsed_s": self.elapsed_s,
                 "cells": self.cells,
                 "retries": self.retries,
-                "pool_restarts": self.pool_restarts,
                 "cache_corrupt": self.cache_corrupt,
                 "cache_repairs": self.cache_repairs,
                 "takeovers": self.takeovers,
@@ -143,6 +140,7 @@ class RunManifest:
     def read(cls, path: Union[str, Path]) -> "RunManifest":
         data = json.loads(Path(path).read_text())
         data.pop("hit_ratio", None)
+        data.pop("pool_restarts", None)  # a retired counter, still in archived manifests
         return cls(**data)
 
     @classmethod
@@ -212,7 +210,6 @@ class RunManifest:
             elapsed_s=max(s.elapsed_s for s in shards),
             cells=ordered,
             retries=sum(s.retries for s in shards),
-            pool_restarts=sum(s.pool_restarts for s in shards),
             cache_corrupt=sum(s.cache_corrupt for s in shards),
             cache_repairs=sum(s.cache_repairs for s in shards),
             takeovers=sum(s.takeovers for s in shards),
@@ -230,8 +227,6 @@ class RunManifest:
         fault_parts = []
         if self.retries:
             fault_parts.append(f"{self.retries} retr{'y' if self.retries == 1 else 'ies'}")
-        if self.pool_restarts:
-            fault_parts.append(f"{self.pool_restarts} pool restart(s)")
         if self.cache_repairs:
             fault_parts.append(f"{self.cache_repairs} cache repair(s)")
         if self.takeovers:
@@ -247,3 +242,26 @@ class RunManifest:
             f"orchestrated {self.n_cells} cell(s) in {self.elapsed_s:.2f}s "
             f"with {self.workers or 1} worker(s){where}{faults}"
         )
+
+
+def _infer_grid(cells: Sequence[Cell]) -> Dict[str, List]:
+    """Params that vary across cells, with their distinct values in order."""
+    varying: Dict[str, List] = {}
+    for cell in cells:
+        for name, value in cell.params.items():
+            values = varying.setdefault(name, [])
+            if value not in values:
+                values.append(value)
+    return {k: v for k, v in varying.items() if len(v) > 1}
+
+
+def _infer_fixed(cells: Sequence[Cell]) -> Dict:
+    """Params held constant across every cell."""
+    if not cells:
+        return {}
+    fixed = dict(cells[0].params)
+    for cell in cells[1:]:
+        for name in list(fixed):
+            if name not in cell.params or cell.params[name] != fixed[name]:
+                del fixed[name]
+    return fixed

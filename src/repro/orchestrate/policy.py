@@ -18,7 +18,7 @@ fails deterministically every time.  This module separates the two.
   injector for the *execution layer itself*, in the spirit of
   :mod:`repro.sim.faults`: a plan declares which cells misbehave on
   which attempts (raise a transient error, oversleep a timeout, or
-  SIGKILL the worker mid-cell), so retries, pool restarts, and
+  SIGKILL the worker mid-cell), so retries, worker replacement, and
   quarantine are testable without flakiness.
 
 Faults address cells by ``(params subset, seed, attempt)`` — never by
@@ -30,10 +30,8 @@ resumed from a half-filled cache.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import random
-import signal
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -59,10 +57,10 @@ __all__ = [
 class CellTimeout(Exception):
     """A cell attempt exceeded its soft per-cell timeout.
 
-    Never raised inside the cell — the runner synthesizes it (parallel
-    mode abandons the hung future; serial mode checks the wall time
-    after the cell returns).  Retryable under the default policy:
-    timeouts are how transient stalls present.
+    Never raised inside the cell — the runner synthesizes it (with
+    workers it kills the worker whose lease outlived the timeout; serial
+    mode checks the wall time after the cell returns).  Retryable under
+    the default policy: timeouts are how transient stalls present.
     """
 
 
@@ -76,9 +74,10 @@ class SweepDeadlineError(RuntimeError):
 
 
 class PoolRestartBudgetError(RuntimeError):
-    """The worker pool broke more times than ``max_pool_restarts`` allows.
+    """Sweep workers died more often than the runner's replacement
+    budget (:data:`repro.orchestrate.runner.WORKER_RESTART_BUDGET`) allows.
 
-    Raised in both error modes: a pool that cannot stay up is an
+    Raised in both error modes: workers that cannot stay up are an
     infrastructure failure, not a property of any one cell, so
     quarantining individual cells would misattribute it.
     """
@@ -191,8 +190,9 @@ FAILURE_VOLATILE_KEYS = frozenset({"traceback", "wall_s_per_attempt"})
 class CellFailure:
     """One quarantined cell: what failed, how often, and how.
 
-    ``attempts`` counts *completed* failing attempts — a cell abandoned
-    by a pool breakage or a sweep deadline before it ever ran records 0.
+    ``attempts`` counts *completed* failing attempts — a worker crash is
+    not charged, and a cell a sweep deadline cut off before it ever ran
+    records 0.
     """
 
     params: Dict
@@ -240,17 +240,12 @@ class CellFailure:
         )
 
 
-def _in_worker_process() -> bool:
-    """True when running inside a multiprocessing child (a pool worker)."""
-    return multiprocessing.parent_process() is not None
-
-
-#: Fault kinds the in-process execution hook interprets (serial runner
-#: and pool workers alike).
+#: Fault kinds the execution hook interprets (serial runner and queue
+#: workers alike).
 EXECUTION_FAULT_KINDS = ("raise", "sleep", "kill")
 
-#: Fault kinds only the distributed queue worker interprets — they
-#: manipulate the lease protocol, which does not exist in-process.  The
+#: Fault kinds only the queue worker interprets — they manipulate the
+#: lease protocol, which a serial sweep does not use.  The
 #: execution hook skips them, so one plan drives both paths.
 DISTRIBUTED_FAULT_KINDS = ("zombie", "pause_heartbeat")
 
@@ -264,27 +259,27 @@ class CellFault:
     * ``"raise"`` — raise :class:`InjectedFault` (a retryable transient);
     * ``"sleep"`` — stall for ``sleep_s`` before running the cell, to
       trip a per-cell timeout;
-    * ``"kill"`` — ``SIGKILL`` the worker process mid-cell (the
-      ``BrokenProcessPoolError`` scenario).  With no worker to kill
-      (serial mode), it degrades to a retryable :class:`InjectedFault`
-      so serial and parallel runs of one plan survive the same schedule.
-      A distributed queue worker dies mid-*lease* instead, leaving its
-      lease to go stale (the crash-takeover scenario).
-    * ``"zombie"`` — distributed queues only: after computing the cell,
+    * ``"kill"`` — ``SIGKILL`` the worker process right after it claims
+      the cell, so it dies holding the lease (the worker-crash
+      scenario: a ``workers > 1`` sweep releases the lease and replaces
+      the worker; on a shared queue the lease goes stale and is taken
+      over).  With no worker to kill (serial mode), it degrades to a
+      retryable :class:`InjectedFault` so serial and parallel runs of
+      one plan survive the same schedule.
+    * ``"zombie"`` — queue workers only: after computing the cell,
       stall ``sleep_s`` past lease expiry before committing, so the
       commit replays a write whose fencing token has been superseded;
-    * ``"pause_heartbeat"`` — distributed queues only: suppress lease
+    * ``"pause_heartbeat"`` — queue workers only: suppress lease
       heartbeats for ``sleep_s`` so the lease goes stale mid-compute.
 
     A fault fires when the cell's seed matches (``seed=None`` matches
     any), every ``params`` item matches the cell's params, and the
-    1-based attempt number is in ``attempts``.  ``once_marker`` names a
-    file created atomically on first firing; while it exists the fault
-    is spent — this is how a kill stays one-shot across the pool restart
-    that re-runs its victim at the same attempt number.  (On a
-    distributed queue the attempt number is the cell's fencing token,
-    which a takeover bumps, so ``attempts=(1,)`` faults are naturally
-    one-shot there.)
+    1-based attempt number is in ``attempts``.  With workers the attempt
+    number is the cell's fencing token, which every claim bumps — also
+    the re-claim after a crash — so an ``attempts=(1,)`` kill fires
+    once.  ``once_marker`` names a file created atomically on first
+    firing; while it exists the fault is spent, in every process of the
+    sweep, whatever attempts it lists.
     """
 
     kind: str
@@ -340,8 +335,7 @@ class CellFault:
         elif self.kind == "raise":
             raise InjectedFault(self.message)
         elif self.kind == "kill":
-            if _in_worker_process():
-                os.kill(os.getpid(), signal.SIGKILL)
+            # A queue worker dies at claim time, before this hook runs.
             raise InjectedFault(f"simulated worker SIGKILL (serial mode): {self.message}")
 
     def to_dict(self) -> Dict:

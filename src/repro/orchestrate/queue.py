@@ -14,6 +14,7 @@ Layout of a queue directory::
     spec.json            what is being swept (guards against workers
                          attaching with mismatched grids)
     leases/<key>.json    one lease per cell: owner, nonce, fencing token
+    leases/<key>.<t>.claim  token t > 1 is taken (created O_EXCL)
     done/<key>.json      commit marker: which token completed the cell
     failed/<key>/        one record per failed attempt, named by
                          (worker, token) so attempts never collide
@@ -26,12 +27,13 @@ The protocol, cell by cell:
 
 1. **Claim.**  A worker creates ``leases/<key>.json`` with
    ``O_CREAT|O_EXCL`` (fencing token 1).  If the lease exists, the cell
-   is claimable only when its owner *released* it (a failed attempt) or
-   let it go **stale** — no heartbeat within ``lease_ttl_s``.  Either
-   way the claimant atomically replaces the lease with its own record
-   carrying ``token + 1``; a stale-lease claim is a **takeover**.  Two
-   racing claimants both ``os.replace``; the loser detects the loss by
-   re-reading the lease and finding a foreign nonce.
+   is claimable only when its owner *released* it (a failed attempt;
+   after the :class:`RetryPolicy` backoff) or let it go **stale** — no
+   heartbeat within ``lease_ttl_s``.  Either way the one claimant that
+   creates the ``<key>.<token + 1>.claim`` marker (``O_EXCL``; a stale
+   marker whose claimant died is skipped) atomically replaces the lease
+   with its own record carrying ``token + 1``; a stale-lease claim is a
+   **takeover**.
 2. **Heartbeat.**  The owner rewrites its lease every ``heartbeat_s``
    (default ``lease_ttl_s / 3``); staleness is judged from the lease
    file's mtime, i.e. by the shared filesystem's clock.
@@ -348,7 +350,21 @@ class JobQueue:
         stale = held and self.lease_stale(key)
         if held and not stale:
             return None
-        record["token"] = int(prev.get("token", 0)) + 1
+        token = int(prev.get("token", 0))
+        if not held and now < prev.get("released_at", 0) + self.policy.backoff_for(key, token):
+            return None  # the failed attempt's retry backoff has not elapsed
+        # One winner per token, however the lease writes interleave; a
+        # marker whose claimant died is skipped once as old as a stale lease.
+        while True:
+            token += 1
+            marker = path.with_name(f"{key}.{token}.claim")
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                break
+            except FileExistsError:
+                if now - marker.stat().st_mtime <= self.lease_ttl_s:
+                    return None
+        record["token"] = token
         if stale:
             record["took_over_from"] = {
                 "worker": prev.get("worker"),
@@ -360,7 +376,7 @@ class JobQueue:
         current = self.read_lease(key)
         if current is None or current.get("nonce") != nonce:
             return None  # lost the claim race to another worker
-        return Claim(key=key, nonce=nonce, token=record["token"], takeover=stale)
+        return Claim(key=key, nonce=nonce, token=token, takeover=stale)
 
     def renew(self, claim: Claim) -> None:
         """Heartbeat: refresh the lease's mtime, verifying ownership."""

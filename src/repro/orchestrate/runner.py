@@ -2,9 +2,11 @@
 
 ``run_cells`` is the single entry point every sweep in the repo routes
 through.  Serial in-process execution is the default (and what tests
-exercise); ``workers=N`` opts in to a ``ProcessPoolExecutor`` fan-out,
-and ``cache`` opts in to the content-addressed result cache so a killed
-run resumes from its completed cells.
+compare against); ``workers=N`` drains the cells with N local
+:class:`~repro.orchestrate.worker.QueueWorker` processes sharing a
+temporary :class:`~repro.orchestrate.queue.JobQueue`, and ``cache``
+opts in to the content-addressed result cache so a killed run resumes
+from its completed cells.
 
 Guarantees, in both modes:
 
@@ -25,15 +27,14 @@ Fault tolerance (see :mod:`repro.orchestrate.policy`):
   each cell a budget of attempts with exponential, deterministically
   jittered backoff; deterministic programming errors are classified
   fatal and fail fast.
-* **Deadlines** — ``cell_timeout`` bounds one cell attempt (parallel
-  mode abandons the hung future and respawns the pool; serial mode
-  checks cooperatively after the cell returns), ``deadline`` bounds the
-  whole sweep.
-* **Worker-crash recovery** — a ``BrokenProcessPoolError`` (an
-  OOM-killed or segfaulted worker) rebuilds the executor and resubmits
-  only the unfinished cells, up to ``max_pool_restarts`` rebuilds.
-  Abandoned in-flight cells keep their attempt count: the crash is the
-  pool's fault, not theirs.
+* **Deadlines** — ``cell_timeout`` bounds one cell attempt (a worker
+  holding an overdue lease is killed and replaced; serial mode checks
+  cooperatively after the cell returns), ``deadline`` bounds the whole
+  sweep.
+* **Worker-crash recovery** — the lease a dead worker (OOM kill,
+  segfault) held is released and the worker replaced, up to
+  :data:`WORKER_RESTART_BUDGET` times.  The crash is charged to the
+  worker, not the cell, and counted in the manifest's ``takeovers``.
 * **Quarantine** — with ``on_error="quarantine"`` a cell that exhausts
   its attempts is recorded in ``SweepRun.failures`` (and the manifest's
   ``failures`` section) and skipped, so long sweeps return partial
@@ -43,18 +44,20 @@ Fault tolerance (see :mod:`repro.orchestrate.policy`):
 
 from __future__ import annotations
 
-import heapq
+import multiprocessing
+import os
+import shutil
+import tempfile
+import threading
 import time
 import types
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from multiprocessing.connection import wait
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
 
-from repro.orchestrate.cache import ResultCache, cache_key, jsonify, qualname_of
+from repro.orchestrate.cache import ResultCache, cache_key, qualname_of
 from repro.orchestrate.cells import Cell
-from repro.orchestrate.manifest import RunManifest, git_sha
+from repro.orchestrate.manifest import RunManifest, _infer_fixed, _infer_grid, git_sha
 from repro.orchestrate.policy import (
     CellFailure,
     PoolRestartBudgetError,
@@ -63,14 +66,16 @@ from repro.orchestrate.policy import (
     describe_exception,
     timeout_info,
 )
+from repro.orchestrate.queue import Claim, JobQueue
+from repro.orchestrate.worker import QueueWorker, _execute_attempt
 
 
 class CellError(RuntimeError):
     """A sweep cell failed; carries which cell, how, and the original
     traceback so sweeps fail debuggably even across process boundaries.
 
-    Worker exceptions lose their traceback to pickling — only the
-    formatted string captured at the raise site survives — so the
+    A worker's exception does not cross the process boundary — only the
+    formatted string captured at the raise site does — so the
     traceback travels in the message, after the one-line summary.
     """
 
@@ -132,42 +137,6 @@ class SweepRun:
         return [r.payload for r in self.results]
 
 
-def _execute_attempt(
-    fn: Callable[..., Dict],
-    cell: Cell,
-    attempt: int,
-    fault_hook: Optional[Callable[[Cell, int], None]],
-    keep_exception: bool = False,
-) -> Tuple:
-    """Run one cell attempt; report failure as data, never by raising.
-
-    Module-level so it pickles to workers.  Returns ``("ok", payload,
-    wall_s)`` or ``("fail", info)`` where ``info`` is
-    :func:`~repro.orchestrate.policy.describe_exception` output — the
-    exception itself may not survive pickling, so it crosses the
-    process boundary as plain data captured at the raise site.
-    ``keep_exception`` (serial mode only) attaches the live exception
-    object for ``raise ... from`` chaining.
-    """
-    start = time.perf_counter()
-    try:
-        if fault_hook is not None:
-            fault_hook(cell, attempt)
-        payload = fn(**cell.kwargs())
-        if not isinstance(payload, Mapping):
-            raise TypeError(
-                f"sweep function {qualname_of(fn)} returned "
-                f"{type(payload).__name__}, expected a dict"
-            )
-        return ("ok", jsonify(payload), time.perf_counter() - start)
-    except Exception as err:
-        info = describe_exception(err)
-        info["wall"] = time.perf_counter() - start
-        if keep_exception:
-            info["exception"] = err
-        return ("fail", info)
-
-
 def _check_parallelisable(fn: Callable, what: str = "") -> None:
     qualname = getattr(fn, "__qualname__", "")
     if isinstance(fn, (types.FunctionType, types.LambdaType)) and (
@@ -219,7 +188,7 @@ class _Sweep:
         self.results: List[Optional[CellResult]] = [None] * len(self.cells)
         self.failures: Dict[int, CellFailure] = {}
         self.retries = 0
-        self.pool_restarts = 0
+        self.takeovers = 0
         self.cache_repairs = 0
 
     def state(self, i: int) -> _CellState:
@@ -357,153 +326,142 @@ def _run_serial(sweep: _Sweep, pending: Sequence[int]) -> None:
             break
 
 
-def _run_parallel(
-    sweep: _Sweep, pending: Sequence[int], workers: int, max_pool_restarts: int
-) -> None:
-    max_workers = min(workers, len(pending))
-    runnable: deque = deque(pending)
-    delayed: List[Tuple[float, int]] = []  # (ready_monotonic, index) heap
-    active: Dict = {}  # future -> (index, submit_monotonic)
-    pool = ProcessPoolExecutor(max_workers=max_workers)
+#: Workers a ``workers > 1`` sweep replaces after they die (SIGKILL, OOM,
+#: segfault) before it stops with :class:`PoolRestartBudgetError`.
+WORKER_RESTART_BUDGET = 3
+#: How often an idle local worker looks for a claimable cell, and the
+#: longest the supervisor sleeps between harvests and lease checks.
+_POLL_S = 0.05
 
-    def shutdown(p) -> None:
-        """Abandon a pool without waiting: cancel what is queued and
-        terminate worker processes best-effort so hung cells do not keep
-        the machine busy after the run moved on."""
-        procs = list((getattr(p, "_processes", None) or {}).values())
-        p.shutdown(wait=False, cancel_futures=True)
-        for proc in procs:
-            try:
-                proc.terminate()
-            except Exception:
-                pass
 
-    def restart_pool() -> None:
-        nonlocal pool
-        sweep.pool_restarts += 1
-        if sweep.pool_restarts > max_pool_restarts:
-            shutdown(pool)
-            unfinished = len(runnable) + len(delayed) + len(active)
-            raise PoolRestartBudgetError(
-                f"worker pool restarted {sweep.pool_restarts - 1} time(s) "
-                f"(max_pool_restarts={max_pool_restarts}) and broke again with "
-                f"{unfinished} cell(s) unfinished"
-            )
-        shutdown(pool)
-        pool = ProcessPoolExecutor(max_workers=max_workers)
+def _queue_worker_main(root, fn, cells, config, policy, worker_id, fault_hook) -> None:
+    """One local sweep worker.  It rebuilds the queue from plain
+    arguments, so it runs under any multiprocessing start method."""
+    parent = multiprocessing.parent_process()
+    # A sweep killed outright must not leave workers computing cells
+    # that nobody will collect.
+    threading.Thread(target=lambda: (parent.join(), os._exit(1)), daemon=True).start()
+    queue = JobQueue(root, fn, cells, config, max_attempts=policy.max_attempts, policy=policy)
+    QueueWorker(
+        queue, fn, worker_id=worker_id, fault_plan=fault_hook,
+        poll_s=_POLL_S, allow_sigkill=True,
+    ).run()
 
-    def abandon_active() -> None:
-        """Requeue in-flight cells after a pool failure, attempt counts
-        untouched: the breakage is attributed to the pool, not the cells,
-        so innocent bystanders never exhaust their retry budget."""
-        for i, _ in active.values():
-            runnable.appendleft(i)
-        active.clear()
 
-    def handle_failure(i: int, info: Dict) -> None:
-        sweep.record_failure(i, info)
-        if sweep.should_retry(i):
-            sweep.retries += 1
-            delay = sweep.policy.backoff_for(sweep.keys[i], sweep.state(i).attempts)
-            if delay > 0:
-                heapq.heappush(delayed, (time.monotonic() + delay, i))
-            else:
-                runnable.append(i)
-        else:
+def _load_failures(sweep: _Sweep, queue: JobQueue, i: int) -> int:
+    """Cell ``i``'s attempt history, taken from the queue's failure records."""
+    state = sweep.state(i)
+    state.infos = queue.failure_records(sweep.keys[i])
+    state.attempts = len(state.infos)
+    return state.attempts
+
+
+def _harvest(sweep: _Sweep, queue: JobQueue, unsettled: List[int]) -> List[int]:
+    """Pass the cells the workers settled to the sweep; return the rest.
+
+    Every failure of a committed cell was retried, and all but the last
+    of a quarantined one's: that is ``retries``.
+    """
+    left = []
+    for i in unsettled:
+        marker = queue.read_done(sweep.keys[i])
+        if marker is not None:
+            sweep.retries += _load_failures(sweep, queue, i)
+            sweep.state(i).attempts += 1
+            sweep.finish(i, queue.cache.get(sweep.keys[i]), float(marker["wall_s"]))
+        elif queue.is_quarantined(sweep.keys[i]):
+            sweep.retries += _load_failures(sweep, queue, i) - 1
             sweep.give_up(i)
+        else:
+            left.append(i)
+    return left
 
+
+def _release_leases(queue: JobQueue, keys: Sequence[str], worker_id: str) -> int:
+    """Release the leases a dead worker still holds, charging no attempt."""
+    held = 0
+    for lease in map(queue.read_lease, keys):
+        if lease and lease.get("state") == "held" and lease.get("worker") == worker_id:
+            queue.release(Claim(lease["key"], lease["nonce"], int(lease["token"])))
+            held += 1
+    return held
+
+
+def _stop(procs: Dict[str, multiprocessing.Process]) -> None:
+    for proc in procs.values():
+        proc.kill()
+        proc.join()
+    procs.clear()
+
+
+def _run_queue(sweep: _Sweep, pending: Sequence[int], workers: int, config) -> None:
+    """Drain ``pending`` with local :class:`QueueWorker` processes sharing
+    a :class:`JobQueue` in a temporary directory.
+
+    Wakes when a worker exits, at least every ``_POLL_S``, to harvest
+    settled cells, release the leases of dead workers (``takeovers``),
+    kill a worker whose lease outlived ``cell_timeout`` (a failed
+    attempt) and start replacements.
+    """
+    cells = [sweep.cells[i] for i in pending]
+    root = tempfile.mkdtemp(prefix="repro-sweep-")
+    procs: Dict[str, multiprocessing.Process] = {}
     try:
-        while runnable or delayed or active:
-            now = time.monotonic()
-            if sweep.deadline_expired():
-                unfinished = (
-                    list(runnable)
-                    + [i for _, i in delayed]
-                    + [i for i, _ in active.values()]
-                )
-                sweep.expire_sweep(unfinished)
+        queue = JobQueue(
+            root, sweep.fn, cells, config,
+            max_attempts=sweep.policy.max_attempts, policy=sweep.policy,
+        )
+        unsettled = list(pending)
+        started = restarts = 0
+        while True:
+            unsettled = _harvest(sweep, queue, unsettled)
+            if not unsettled:
                 return
-            while delayed and delayed[0][0] <= now:
-                runnable.append(heapq.heappop(delayed)[1])
-            while runnable and len(active) < max_workers:
-                i = runnable.popleft()
-                try:
-                    fut = pool.submit(
-                        _execute_attempt,
-                        sweep.fn,
-                        sweep.cells[i],
-                        sweep.state(i).attempts + 1,
-                        sweep.fault_hook,
-                    )
-                except BrokenProcessPool:
-                    runnable.appendleft(i)
-                    abandon_active()
-                    restart_pool()
-                    break
-                active[fut] = (i, time.monotonic())
-
-            if not active:
-                if delayed:
-                    time.sleep(
-                        sweep.clamp_to_deadline(
-                            max(0.0, delayed[0][0] - time.monotonic())
-                        )
-                    )
-                continue
-
-            # Wake at the earliest of: a completion, a cell-timeout
-            # expiry, a backoff becoming ready, or the sweep deadline.
-            timeout_candidates = []
-            if sweep.cell_timeout is not None:
-                earliest = min(t for _, t in active.values())
-                timeout_candidates.append(earliest + sweep.cell_timeout - now)
-            if delayed:
-                timeout_candidates.append(delayed[0][0] - now)
-            if sweep.deadline is not None:
-                timeout_candidates.append(sweep.t0 + sweep.deadline - now)
-            wait_timeout = (
-                max(0.0, min(timeout_candidates)) if timeout_candidates else None
-            )
-            done, _ = wait(set(active), timeout=wait_timeout, return_when=FIRST_COMPLETED)
-
-            broken = False
-            for fut in done:
-                i, _submitted = active.pop(fut)
-                try:
-                    outcome = fut.result()
-                except BrokenProcessPool:
-                    runnable.appendleft(i)
-                    broken = True
+            if sweep.deadline_expired():
+                _stop(procs)
+                unsettled = _harvest(sweep, queue, unsettled)
+                sweep.retries += sum(_load_failures(sweep, queue, i) for i in unsettled)
+                if unsettled:
+                    sweep.expire_sweep(unsettled)
+                return
+            keys = [sweep.keys[i] for i in unsettled]
+            for worker_id, proc in list(procs.items()):
+                if proc.exitcode is None:
                     continue
-                if outcome[0] == "ok":
-                    _, payload, wall = outcome
-                    sweep.state(i).attempts += 1
-                    sweep.finish(i, payload, wall)
-                else:
-                    handle_failure(i, outcome[1])
-            if broken:
-                abandon_active()
-                restart_pool()
-                continue
-
-            if sweep.cell_timeout is not None and active:
-                now = time.monotonic()
-                expired = [
-                    (fut, i, t)
-                    for fut, (i, t) in active.items()
-                    if now - t > sweep.cell_timeout
-                ]
-                if expired:
-                    # The hung workers cannot be reclaimed individually —
-                    # abandon the futures, respawn the pool, and charge
-                    # only the overdue cells with a failed attempt.
-                    for fut, i, t in expired:
-                        del active[fut]
-                        handle_failure(i, timeout_info(sweep.cell_timeout, now - t))
-                    abandon_active()
-                    restart_pool()
+                del procs[worker_id]
+                held = _release_leases(queue, keys, worker_id)
+                sweep.takeovers += held
+                restarts += bool(held or proc.exitcode)
+                if restarts > WORKER_RESTART_BUDGET:
+                    raise PoolRestartBudgetError(
+                        f"{restarts} sweep worker(s) died (budget: "
+                        f"{WORKER_RESTART_BUDGET} replacements) with "
+                        f"{len(unsettled)} cell(s) unfinished"
+                    )
+            for key in keys if sweep.cell_timeout is not None else ():
+                lease = queue.read_lease(key)
+                owner = lease.get("worker") if lease else None
+                if owner not in procs or lease.get("state") != "held":
+                    continue
+                held_s = time.time() - float(lease["acquired_at"])
+                if held_s <= sweep.cell_timeout:
+                    continue
+                _stop({owner: procs.pop(owner)})
+                if not queue.is_done(key):
+                    claim = Claim(key, lease["nonce"], int(lease["token"]))
+                    queue.record_failure(claim, timeout_info(sweep.cell_timeout, held_s), owner)
+                    queue.maybe_quarantine(key)
+                _release_leases(queue, keys, owner)
+            while len(procs) < min(workers, len(unsettled)):
+                worker_id = f"sweep-worker-{started}"
+                started += 1
+                args = (root, sweep.fn, cells, config, sweep.policy, worker_id, sweep.fault_hook)
+                procs[worker_id] = multiprocessing.Process(target=_queue_worker_main, args=args)
+                procs[worker_id].start()
+            wait([p.sentinel for p in procs.values()], sweep.clamp_to_deadline(_POLL_S))
     finally:
-        shutdown(pool)
+        _stop(procs)
+        shutil.rmtree(root, ignore_errors=True)
 
 
 def run_cells(
@@ -518,7 +476,6 @@ def run_cells(
     deadline: Optional[float] = None,
     on_error: str = "raise",
     fault_hook: Optional[Callable[[Cell, int], None]] = None,
-    max_pool_restarts: int = 3,
 ) -> SweepRun:
     """Execute ``fn`` over ``cells``, with optional fan-out and caching.
 
@@ -545,8 +502,6 @@ def run_cells(
         raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
     if deadline is not None and deadline < 0:
         raise ValueError(f"deadline must be non-negative, got {deadline}")
-    if max_pool_restarts < 0:
-        raise ValueError(f"max_pool_restarts must be >= 0, got {max_pool_restarts}")
     policy = policy or RetryPolicy()
     cells = list(cells)
     started = RunManifest.now()
@@ -584,7 +539,7 @@ def run_cells(
         _check_parallelisable(fn)
         if fault_hook is not None:
             _check_parallelisable(fault_hook, what="fault_hook ")
-        _run_parallel(sweep, pending, workers, max_pool_restarts)
+        _run_queue(sweep, pending, workers, config)
     elif pending:
         _run_serial(sweep, pending)
 
@@ -617,32 +572,10 @@ def run_cells(
         started_at=started,
         extra=dict(manifest_meta or {}),
         retries=sweep.retries,
-        pool_restarts=sweep.pool_restarts,
+        takeovers=sweep.takeovers,
         cache_corrupt=n_corrupt,
         cache_repairs=sweep.cache_repairs,
         failures=[f.to_dict() for f in failures],
     )
     return SweepRun(results=done_results, manifest=manifest, failures=failures)
 
-
-def _infer_grid(cells: Sequence[Cell]) -> Dict[str, List]:
-    """Params that vary across cells, with their distinct values in order."""
-    varying: Dict[str, List] = {}
-    for cell in cells:
-        for name, value in cell.params.items():
-            values = varying.setdefault(name, [])
-            if value not in values:
-                values.append(value)
-    return {k: v for k, v in varying.items() if len(v) > 1}
-
-
-def _infer_fixed(cells: Sequence[Cell]) -> Dict:
-    """Params held constant across every cell."""
-    if not cells:
-        return {}
-    fixed = dict(cells[0].params)
-    for cell in cells[1:]:
-        for name in list(fixed):
-            if name not in cell.params or cell.params[name] != fixed[name]:
-                del fixed[name]
-    return fixed

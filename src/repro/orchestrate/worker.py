@@ -13,9 +13,9 @@ Per claimed cell the worker:
    crashed *after* the cache write but *before* the done marker is
    committed as a hit, self-healing the half-commit);
 2. starts a heartbeat thread renewing the lease every ``heartbeat_s``;
-3. executes the cell through the same ``_execute_attempt`` the
-   in-process runner uses (so fault plans, payload canonicalisation,
-   and failure records are identical on both paths);
+3. executes the cell through :func:`_execute_attempt`, which the
+   serial runner shares (so fault hooks, payload canonicalisation, and
+   failure records are identical on both paths);
 4. stops the heartbeat and commits — or, on failure, records the
    attempt under ``failed/`` and releases the lease for another worker.
 
@@ -23,14 +23,16 @@ The fencing-token-as-attempt-number convention: the cell's token is
 passed to the fault hook as the attempt number, so one
 :class:`~repro.orchestrate.policy.SweepFaultPlan` addresses distributed
 attempts exactly like in-process retries — ``attempts=(1,)`` hits the
-first claim, and a takeover (token 2) is naturally exempt.
+first claim, and a takeover (token 2) is naturally exempt.  Any other
+``fault_hook(cell, attempt)`` callable is called the same way.
 
-Distributed fault kinds interpreted here (no-ops in-process):
+Lease-layer fault kinds interpreted here when the hook is a
+:class:`~repro.orchestrate.policy.SweepFaultPlan` (no-ops in-process):
 
 * ``"kill"`` — die immediately after claiming, *before* the first
-  heartbeat, leaving the lease to go stale: the crash-takeover
-  scenario.  Real ``SIGKILL`` when ``allow_sigkill=True`` (the CLI
-  default — each worker is its own process); otherwise an
+  heartbeat, holding the lease: the crash-takeover scenario.  Real
+  ``SIGKILL`` when ``allow_sigkill=True`` (the CLI and ``run_cells``
+  workers — each is its own process); otherwise an
   :class:`InjectedWorkerCrash` unwinds this worker's run loop, which is
   what thread-hosted test workers need.
 * ``"zombie"`` — compute, stop heartbeating, oversleep the lease TTL,
@@ -48,15 +50,49 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.orchestrate.cache import jsonify, qualname_of
 from repro.orchestrate.cells import Cell
-from repro.orchestrate.manifest import RunManifest, git_sha
-from repro.orchestrate.policy import CellFailure, SweepFaultPlan
+from repro.orchestrate.manifest import RunManifest, _infer_fixed, _infer_grid, git_sha
+from repro.orchestrate.policy import CellFailure, SweepFaultPlan, describe_exception
 from repro.orchestrate.queue import Claim, JobQueue, LeaseLost
-from repro.orchestrate.runner import _execute_attempt, _infer_fixed, _infer_grid
 
 __all__ = ["InjectedWorkerCrash", "QueueWorker", "WorkerReport"]
+
+
+def _execute_attempt(
+    fn: Callable[..., Dict],
+    cell: Cell,
+    attempt: int,
+    fault_hook: Optional[Callable[[Cell, int], None]],
+    keep_exception: bool = False,
+) -> Tuple:
+    """Run one cell attempt; report failure as data, never by raising.
+
+    Shared by the serial runner and every queue worker.  Returns
+    ``("ok", payload, wall_s)`` or ``("fail", info)`` where ``info`` is
+    :func:`~repro.orchestrate.policy.describe_exception` output, plain
+    data a failure record can carry.  ``keep_exception`` (serial mode
+    only) attaches the live exception for ``raise ... from`` chaining.
+    """
+    start = time.perf_counter()
+    try:
+        if fault_hook is not None:
+            fault_hook(cell, attempt)
+        payload = fn(**cell.kwargs())
+        if not isinstance(payload, Mapping):
+            raise TypeError(
+                f"sweep function {qualname_of(fn)} returned "
+                f"{type(payload).__name__}, expected a dict"
+            )
+        return ("ok", jsonify(payload), time.perf_counter() - start)
+    except Exception as err:
+        info = describe_exception(err)
+        info["wall"] = time.perf_counter() - start
+        if keep_exception:
+            info["exception"] = err
+        return ("fail", info)
 
 
 class InjectedWorkerCrash(RuntimeError):
@@ -132,7 +168,7 @@ class QueueWorker:
         queue: JobQueue,
         fn: Callable[..., Dict],
         worker_id: Optional[str] = None,
-        fault_plan: Optional[SweepFaultPlan] = None,
+        fault_plan: Optional[Callable[[Cell, int], None]] = None,
         poll_s: float = 0.1,
         allow_sigkill: bool = False,
         gc_tmp_age_s: float = 3600.0,
@@ -214,7 +250,8 @@ class QueueWorker:
     # -- one cell -----------------------------------------------------------
 
     def _first_fault(self, cell: Cell, token: int, kinds) -> Optional[object]:
-        if self.fault_plan is None:
+        # Only a plan has lease-layer faults; other hooks just run per attempt.
+        if not isinstance(self.fault_plan, SweepFaultPlan):
             return None
         return self.fault_plan.first_matching(cell, token, kinds)
 

@@ -45,6 +45,20 @@ def fatal_cell(x, seed):
     raise ValueError(f"bad parameter x={x}")
 
 
+def fail_first_attempt_of_seed_0(cell, attempt):
+    """A plain-function ``fault_hook``: seed 0's first attempt raises."""
+    if cell.seed == 0 and attempt == 1:
+        raise RuntimeError(f"hook fault at x={cell.params['x']}")
+
+
+def list_tempdir_cell(x, seed):
+    """Reports what the temporary directory holds while the cell runs."""
+    import os
+    import tempfile
+
+    return {"x": x, "tempdir": sorted(os.listdir(tempfile.gettempdir()))}
+
+
 def hammer_cache(root, key, worker_id, iterations):
     """Concurrent-writer workload: repeatedly persist the same cell key.
 

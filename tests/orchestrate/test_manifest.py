@@ -1,8 +1,16 @@
 """Run manifests: field inference, archiving, the audit round trip."""
 
 import json
+from pathlib import Path
 
-from repro.orchestrate import ResultCache, RunManifest, expand_grid, git_sha, run_cells
+from repro.orchestrate import (
+    JobQueue,
+    ResultCache,
+    RunManifest,
+    expand_grid,
+    git_sha,
+    run_cells,
+)
 
 from tests.orchestrate.cellfns import affine_cell
 
@@ -61,6 +69,22 @@ class TestManifestIO:
         back = RunManifest.read(path)
         assert back.grid == {"x": [1, 2]}
         assert back.cache_misses == 2
+
+    def test_archived_manifest_with_pool_restarts_still_loads(self, tmp_path):
+        archived = Path(__file__).resolve().parents[2] / (
+            "benchmarks/results/orchestrate_distributed.manifest.json"
+        )
+        data = json.loads(archived.read_text())
+        data.setdefault("pool_restarts", 0)  # the retired counter archives carry
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps(data))
+        back = RunManifest.read(old)
+        assert back.n_cells == data["n_cells"] and back.takeovers == data["takeovers"]
+        assert not hasattr(back, "pool_restarts")
+        # A queue's shard loader used to skip such a shard without a word.
+        queue = JobQueue(tmp_path / "q", affine_cell, expand_grid("x", [1], [0]))
+        (queue.root / "manifests" / "old.json").write_text(json.dumps(data))
+        assert [m.takeovers for m in queue.load_shard_manifests()] == [data["takeovers"]]
 
     def test_hit_ratio(self):
         m = RunManifest(fn="f", n_cells=4, cache_hits=3)

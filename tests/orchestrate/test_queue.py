@@ -7,11 +7,13 @@ Worker-level integration (heartbeats, chaos plans) lives in
 ``test_worker.py``.
 """
 
+import json
 import os
 import time
 
 import pytest
 
+from repro.orchestrate import queue as queue_module
 from repro.orchestrate import (
     JobQueue,
     QueueSpecMismatch,
@@ -98,6 +100,48 @@ class TestClaims:
         assert second is not None
         assert second.token == 2
         assert not second.takeover  # a clean release is not a crash takeover
+
+    def test_released_lease_waits_out_the_retry_backoff(self, tmp_path):
+        policy = RetryPolicy(max_attempts=3, backoff_s=60.0, jitter=0.0)
+        queue = make_queue(tmp_path, policy=policy)
+        key = queue.keys[0]
+        queue.release(queue.try_claim(key, "w0"))
+        assert queue.try_claim(key, "w1") is None  # 60 s backoff after token 1
+        lease = queue.read_lease(key)
+        lease["released_at"] -= 61.0
+        queue.lease_path(key).write_text(json.dumps(lease))
+        claim = queue.try_claim(key, "w1")
+        assert claim is not None and claim.token == 2
+
+    def test_racing_reclaims_get_one_winner(self, tmp_path, monkeypatch):
+        # B reads the released lease; A then claims it completely (write
+        # and re-read) before B writes.  Both re-reads see their own
+        # nonce, so only the per-token marker keeps token 2 unique.
+        queue = make_queue(tmp_path)
+        key = queue.keys[0]
+        queue.release(queue.try_claim(key, "w0"))
+        claims = {}
+        write = queue_module._write_json_atomic
+
+        def late_write(path, data, nonce):
+            if "a" not in claims:
+                claims["a"] = queue.try_claim(key, "wa")
+            write(path, data, nonce)
+
+        monkeypatch.setattr(queue_module, "_write_json_atomic", late_write)
+        claims["b"] = queue.try_claim(key, "wb")
+        assert [c.token for c in claims.values() if c is not None] == [2]
+
+    def test_marker_of_a_claimant_that_died_is_skipped_once_stale(self, tmp_path):
+        queue = make_queue(tmp_path)
+        key = queue.keys[0]
+        queue.release(queue.try_claim(key, "w0"))
+        marker = queue.lease_path(key).with_name(f"{key}.2.claim")
+        marker.touch()  # token 2 taken, its lease never written
+        assert queue.try_claim(key, "w1") is None
+        old = time.time() - queue.lease_ttl_s - 1
+        os.utime(marker, (old, old))
+        assert queue.try_claim(key, "w1").token == 3
 
     def test_stale_held_lease_is_taken_over(self, tmp_path):
         queue = make_queue(tmp_path)

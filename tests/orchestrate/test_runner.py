@@ -1,14 +1,31 @@
 """The cell runner: grids, determinism across workers, cache behavior."""
 
+import multiprocessing
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.orchestrate import Cell, CellError, ResultCache, expand_grid, run_cells
+from repro.orchestrate import (
+    Cell,
+    CellError,
+    CellFault,
+    PoolRestartBudgetError,
+    ResultCache,
+    RetryPolicy,
+    SweepDeadlineError,
+    SweepFaultPlan,
+    expand_grid,
+    run_cells,
+)
 
-from tests.orchestrate.cellfns import affine_cell, failing_cell, rng_cell
+from tests.orchestrate.cellfns import (
+    affine_cell,
+    failing_cell,
+    list_tempdir_cell,
+    rng_cell,
+)
 
 
 class TestExpandGrid:
@@ -63,6 +80,50 @@ class TestParallelRunner:
     def test_worker_exception_propagates_as_cell_error(self):
         with pytest.raises(CellError, match="x=2"):
             run_cells(failing_cell, expand_grid("x", [1, 2], [0]), workers=2)
+
+
+class TestNothingLeftBehind:
+    """However a ``workers > 1`` sweep ends, no worker process and no
+    queue directory outlive it."""
+
+    CELLS = expand_grid("x", [1, 2, 3], [0])
+
+    def test_success(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        run = run_cells(list_tempdir_cell, self.CELLS, workers=2)
+        # The queue lived under tempfile.tempdir while the cells ran ...
+        assert all(len(p["tempdir"]) == 1 for p in run.payloads())
+        assert run.payloads()[0]["tempdir"][0].startswith("repro-sweep-")
+        # ... and is gone now, with its workers.
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "error, kwargs",
+        [
+            (CellError, {}),
+            (SweepDeadlineError, {
+                "deadline": 0.3,
+                "fault_hook": SweepFaultPlan(
+                    (CellFault("sleep", params={"x": 2}, sleep_s=30.0),)
+                ),
+            }),
+            (PoolRestartBudgetError, {
+                "policy": RetryPolicy(max_attempts=5),
+                "fault_hook": SweepFaultPlan(
+                    (CellFault("kill", params={"x": 2}, attempts=(1, 2, 3, 4, 5)),)
+                ),
+            }),
+        ],
+        ids=["cell_error", "deadline", "restart_budget"],
+    )
+    def test_error(self, error, kwargs, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        fn = failing_cell if error is CellError else affine_cell
+        with pytest.raises(error):
+            run_cells(fn, self.CELLS, workers=2, **kwargs)
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCaching:

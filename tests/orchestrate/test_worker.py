@@ -19,13 +19,19 @@ from repro.orchestrate import (
     InjectedWorkerCrash,
     JobQueue,
     QueueWorker,
+    RetryPolicy,
     SweepFaultPlan,
     expand_grid,
     run_cells,
     strip_volatile,
 )
 
-from tests.orchestrate.cellfns import affine_cell, failing_cell, fatal_cell
+from tests.orchestrate.cellfns import (
+    affine_cell,
+    fail_first_attempt_of_seed_0,
+    failing_cell,
+    fatal_cell,
+)
 
 GRID = expand_grid("x", [1, 2, 3, 4], [0, 1, 2, 3])
 
@@ -130,6 +136,32 @@ class TestMultiWorker:
         assert strip_volatile(rows) == strip_volatile(
             run_cells(affine_cell, GRID).payloads()
         )
+
+
+class TestPlainFunctionHook:
+    """Any ``fault_hook(cell, attempt)`` works, not only a SweepFaultPlan."""
+
+    def test_queue_worker_calls_a_plain_hook(self, tmp_path):
+        queue = JobQueue(tmp_path / "q", affine_cell, GRID, lease_ttl_s=5.0)
+        report = QueueWorker(
+            queue, affine_cell, worker_id="solo",
+            fault_plan=fail_first_attempt_of_seed_0, poll_s=0.02,
+        ).run()
+        assert queue.drained()
+        assert report.failures_recorded == 4  # seed 0's four cells, once each
+        rows, failures = queue.collect()
+        assert failures == []
+        assert strip_volatile(rows) == strip_volatile(
+            run_cells(affine_cell, GRID).payloads()
+        )
+
+    def test_run_cells_workers_call_a_plain_hook(self):
+        run = run_cells(
+            affine_cell, GRID, workers=2, policy=RetryPolicy(max_attempts=2),
+            fault_hook=fail_first_attempt_of_seed_0,
+        )
+        assert run.payloads() == run_cells(affine_cell, GRID).payloads()
+        assert run.manifest.retries == 4
 
 
 class TestQuarantine:

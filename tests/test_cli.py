@@ -282,7 +282,7 @@ class TestCommands:
         assert manifest["n_cells"] == 8
         assert len(manifest["cells"]) == 8
         assert manifest["failures"] == []
-        assert manifest["pool_restarts"] == 1
+        assert manifest["takeovers"] == 1
         assert manifest["retries"] == 1
 
     def test_sweep_biased_insertion(self, capsys):
