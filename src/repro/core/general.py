@@ -115,7 +115,7 @@ class GeneralPriorityProcess:
         if self._cum_probs is None:
             q = int(self._rng.integers(self.n_queues))
         else:
-            q = int(np.searchsorted(self._cum_probs, self._rng.random(), side="right"))
+            q = int(np.searchsorted(self._cum_probs[:-1], self._rng.random(), side="right"))
         # Heap entries are (priority, arrival index); heap stability is
         # irrelevant because the pair is already unique and ordered.
         self._queues[q].push((self._priorities[idx], idx), idx)

@@ -207,7 +207,7 @@ class MultiQueue:
     def _choose_insert_queue(self) -> int:
         if self._cum_probs is None:
             return int(self._rng.integers(len(self._queues)))
-        return int(np.searchsorted(self._cum_probs, self._rng.random(), side="right"))
+        return int(np.searchsorted(self._cum_probs[:-1], self._rng.random(), side="right"))
 
     def _better_of(self, i: int, j: int) -> Optional[int]:
         """Index (of ``i``/``j``) with the smaller top; ``None`` if both empty."""

@@ -150,7 +150,7 @@ class SequentialProcess:
         round-robin uses ``label % n``)."""
         if self._cum_probs is None:
             return int(self._rng.integers(self.n_queues))
-        return int(np.searchsorted(self._cum_probs, self._rng.random(), side="right"))
+        return int(np.searchsorted(self._cum_probs[:-1], self._rng.random(), side="right"))
 
     def prefill(self, m: int) -> None:
         """Insert ``m`` consecutive labels (the paper's initial buffer)."""

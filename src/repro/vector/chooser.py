@@ -107,20 +107,58 @@ class BatchedChooser:
             two = rng.random(count) < self.beta
         return two, rng.integers(self.n, size=count), rng.integers(self.n, size=count)
 
+    def _refill_inserts(self) -> None:
+        shape = (self._chunk, self.replicas)
+        if self._cum is None:
+            self._ins = self._rng.integers(self.n, size=shape)
+        else:
+            # Search all but the last cut: a draw at or above cum[-1]
+            # (which rounding can leave just below 1) is the last queue.
+            self._ins = np.searchsorted(
+                self._cum[:-1], self._rng.random(shape), side="right"
+            )
+        self._iptr = 0
+
     def insert_queues(self) -> np.ndarray:
         """Per-replica queue index for the next inserted label."""
         if self._iptr >= self._chunk:
-            shape = (self._chunk, self.replicas)
-            if self._cum is None:
-                self._ins = self._rng.integers(self.n, size=shape)
-            else:
-                self._ins = np.searchsorted(
-                    self._cum, self._rng.random(shape), side="right"
-                )
-            self._iptr = 0
+            self._refill_inserts()
         k = self._iptr
         self._iptr += 1
         return self._ins[k]
+
+    # -- block draws -------------------------------------------------------
+    #
+    # A block is up to ``b`` consecutive steps' draws, step-major, taken
+    # as slices of the current chunks.  A block never crosses a refill,
+    # and it refills exactly where the per-step calls it replaces would
+    # (inserts before removals), so drawing in blocks consumes the
+    # generator in the same order as drawing step by step.
+
+    def insert_block(self, b: int) -> np.ndarray:
+        """Queue choices for up to ``b`` next labels, ``(k, R)`` with ``1 <= k <= b``."""
+        if self._iptr >= self._chunk:
+            self._refill_inserts()
+        k = self._iptr
+        self._iptr = min(k + b, self._chunk)
+        return self._ins[k : self._iptr]
+
+    def removal_block(self, b: int) -> Draws:
+        """``(two, i, j)`` for up to ``b`` removal steps, each ``(k, R)``."""
+        if self._ptr >= self._chunk:
+            self._refill_removals()
+        k = self._ptr
+        self._ptr = min(k + b, self._chunk)
+        return self._two[k : self._ptr], self._i[k : self._ptr], self._j[k : self._ptr]
+
+    def step_block(self, b: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(inserts, two, i, j)`` for up to ``b`` insert+remove steps."""
+        if self._iptr >= self._chunk:
+            self._refill_inserts()
+        if self._ptr >= self._chunk:
+            self._refill_removals()
+        b = min(b, self._chunk - self._iptr, self._chunk - self._ptr)
+        return (self.insert_block(b), *self.removal_block(b))
 
     def dchoice_draws(self, d: int) -> np.ndarray:
         """``(R, d)`` uniform queue indices for a best-of-d removal."""
@@ -174,6 +212,25 @@ class ArrayChoiceSource:
         self._iptr += 1
         return self._ins[k]
 
+    @staticmethod
+    def _rows(arr: np.ndarray, start: int, b: int) -> np.ndarray:
+        if start + b > len(arr):
+            raise IndexError("explicit choice stream exhausted")
+        return arr[start : start + b]
+
+    def insert_block(self, b: int) -> np.ndarray:
+        k = self._iptr
+        self._iptr += b
+        return self._rows(self._ins, k, b)
+
+    def removal_block(self, b: int) -> Draws:
+        k = self._ptr
+        self._ptr += b
+        return tuple(self._rows(a, k, b) for a in (self._two, self._i, self._j))
+
+    def step_block(self, b: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return (self.insert_block(b), *self.removal_block(b))
+
 
 class ReferenceMirror:
     """Byte-exact mirror of ``R`` reference processes' RNG streams.
@@ -208,7 +265,7 @@ class ReferenceMirror:
                 out[r] = gen.integers(self.n)
         else:
             for r, gen in enumerate(self._gens):
-                out[r] = np.searchsorted(self._cum, gen.random(), side="right")
+                out[r] = np.searchsorted(self._cum[:-1], gen.random(), side="right")
         return out
 
     def removal_draws(self) -> Draws:
@@ -237,6 +294,20 @@ class ReferenceMirror:
             if t:
                 j[k] = b
         return two, i, j
+
+    # One-step blocks: each replica's generator serves its insert draw,
+    # then its removal draw, as in the reference step.  A redraw that
+    # follows (the block kernel falls back per step) comes next in the
+    # same generator, just as it would in the reference.
+
+    def insert_block(self, b: int) -> np.ndarray:
+        return self.insert_queues()[None]
+
+    def removal_block(self, b: int) -> Draws:
+        return tuple(a[None] for a in self.removal_draws())
+
+    def step_block(self, b: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return (self.insert_block(1), *self.removal_block(1))
 
     def dchoice_draws(self, d: int) -> np.ndarray:
         out = np.empty((self.replicas, d), dtype=np.int64)

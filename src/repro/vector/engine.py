@@ -27,6 +27,20 @@ replicas whose chosen queues were all empty — mirroring the reference
 semantics of :meth:`repro.core.process.SequentialProcess.remove`
 decision-for-decision, so that a replica driven by the same RNG stream
 removes the same label at every step.
+
+The steady state advances in *blocks* of up to one rank chunk of steps
+where that is provably exact (:meth:`VectorProcessBase._block_step`).
+A block is exact when every queue's count as a removal candidate in it
+(``i`` and ``j`` draws alike) is below the queue's size; an empty queue
+always fails.  No queue can then run dry inside the block: no pop
+redraws, no append changes a top, and every pop's successor is already
+queued at block start.  So the block's appends go first, in one grouped
+scatter, and its pops run in a short loop of gathers.  A block that
+fails the test runs the per-step kernel on the *same* draws, so choice
+sources never peek or rewind.  Sources serve block draws that consume
+their generators exactly like the per-step calls they replace; the
+:class:`~repro.vector.chooser.ReferenceMirror` serves one-step blocks,
+which keeps the reference trace-parity suite on the block kernel.
 """
 
 from __future__ import annotations
@@ -63,6 +77,24 @@ def queue_key_type(n_queues: int) -> type:
     """Smallest dtype for queue ids: ``uint16`` (NumPy radix-sorts it
     stably) when they fit, else ``int64``."""
     return np.uint16 if n_queues <= 1 << 16 else np.int64
+
+
+def _group_by_key(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable grouping of ``keys`` by value.
+
+    Returns ``(order, rank)``: ``order`` lists the element indices
+    grouped by key, each group in index order, and ``rank[p]`` is how
+    many earlier elements share element ``order[p]``'s key.  ``uint16``
+    keys take NumPy's stable radix sort.
+    """
+    order = np.argsort(keys, kind="stable")
+    grouped = keys[order]
+    index = np.arange(len(keys), dtype=np.int64)
+    starts = np.zeros(len(keys), dtype=np.int64)
+    first = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+    starts[first] = first
+    np.maximum.accumulate(starts, out=starts)
+    return order, index - starts
 
 
 def _earlier_smaller(removed: np.ndarray) -> np.ndarray:
@@ -123,10 +155,12 @@ class VectorProcessBase:
         #: non-empty.  Then no top can be EMPTY, so the kernel skips the
         #: empty-queue checks: appends never change a top, and removal
         #: needs no redraw test.  Set by any pop that empties a queue;
-        #: re-derived from the sizes once per chunk.
+        #: re-derived from the sizes once per chunk, and cleared by an
+        #: exact block (which leaves every queue non-empty).
         self._may_have_empty = True
-        #: Upper bound on the current max queue size (grows by one per
-        #: append, re-tightened only when it reaches the ring capacity),
+        #: Upper bound on the current max queue size (grows by the most
+        #: labels an append or a block adds to one queue, re-tightened
+        #: only when it reaches the ring capacity),
         #: so the append hot path checks a scalar instead of scanning.
         self._watermark = 0
         self._removal_steps = 0
@@ -186,6 +220,8 @@ class VectorProcessBase:
         self._cap = cap
         self._capmask = cap - 1
         self._capshift = cap.bit_length() - 1
+        #: Flat slot of each ring's position 0.
+        self._ring_base = np.arange(self._tops.size, dtype=np.int64) << self._capshift
 
     def _alloc_from_assignment(self, assign: np.ndarray) -> None:
         """Build the ring buffers from an ``(R, m)`` queue assignment.
@@ -208,16 +244,13 @@ class VectorProcessBase:
         self._size = counts
         self._set_capacity(cap)
         self._watermark = max_size
-        labels = np.arange(m, dtype=np.int64)
         queue_slots = np.arange(n, dtype=np.int64) * cap
         key_type = queue_key_type(n)
         for r in range(replicas):
             keys = np.ascontiguousarray(assign[r], dtype=key_type)
-            order = np.argsort(keys, kind="stable")
-            # Sorted position p holds the (p - start[q])-th label of its
-            # queue q, which lands in slot q * cap + p - start[q].
-            offset = queue_slots - (np.cumsum(counts[r]) - counts[r])
-            self._buf[r].reshape(-1)[labels + np.repeat(offset, counts[r])] = order
+            # The rank-th label of queue q lands in slot q * cap + rank.
+            order, rank = _group_by_key(keys)
+            self._buf[r].reshape(-1)[np.repeat(queue_slots, counts[r]) + rank] = order
         self._tops = np.where(counts > 0, self._buf[:, :, 0], EMPTY)
         self._may_have_empty = bool(counts.min() == 0)
         self._bind_views()
@@ -225,23 +258,33 @@ class VectorProcessBase:
     def _grow(self) -> None:
         """Double ring capacity, re-linearizing every queue to head 0."""
         cap = self._cap
-        idx = (self._head[:, :, None] + np.arange(cap)) & self._capmask
-        linear = np.take_along_axis(self._buf, idx, axis=2)
+        self._rotate_to_front(slice(None))
         new = np.zeros((self.replicas, self.n_queues, 2 * cap), dtype=np.int64)
-        new[:, :, :cap] = linear
+        new[:, :, :cap] = self._buf
         self._buf = new
-        self._head.fill(0)
         self._set_capacity(2 * cap)
         self._bind_views()
 
-    def _append(self, queues: np.ndarray, label: int) -> None:
-        """Append ``label`` to per-replica ``queues`` (one per replica)."""
-        if self._watermark >= self._cap:
+    def _rotate_to_front(self, cells) -> None:
+        """Re-linearize the rings of flat queues ``cells`` (an index
+        array or a slice) to head 0."""
+        rings = self._buf.reshape(-1, self._cap)
+        order = (self._head_flat[cells, None] + np.arange(self._cap)) & self._capmask
+        rings[cells] = np.take_along_axis(rings[cells], order, axis=1)
+        self._head_flat[cells] = 0
+
+    def _reserve(self, b: int) -> None:
+        """Make room for ``b`` more labels in every queue."""
+        if self._watermark + b > self._cap:
             actual = int(self._size.max())
-            if actual >= self._cap:
+            while actual + b > self._cap:
                 self._grow()
             self._watermark = actual
-        self._watermark += 1
+        self._watermark += b
+
+    def _append(self, queues: np.ndarray, label: int) -> None:
+        """Append ``label`` to per-replica ``queues`` (one per replica)."""
+        self._reserve(1)
         lin = self._row_base + queues
         sizes = self._size_flat[lin]
         pos = (self._head_flat[lin] + sizes) & self._capmask
@@ -259,10 +302,14 @@ class VectorProcessBase:
 
     # -- the batched (1+beta) removal kernel -----------------------------
 
-    def _choose_removal_queues(self) -> np.ndarray:
-        """One (1+beta) queue choice per replica, redrawing on empties."""
+    def _choose_removal_queues(self, draws=None) -> np.ndarray:
+        """One (1+beta) queue choice per replica, redrawing on empties.
+
+        ``draws`` is this step's ``(two, i, j)`` when already taken from
+        a block; by default the step draws from the source.
+        """
         base, tops = self._row_base, self._tops_flat
-        two, i, j = self._source.removal_draws()
+        two, i, j = self._source.removal_draws() if draws is None else draws
         ti = tops[base + i]
         tj = tops[base + j]
         better_j = two & (tj < ti)
@@ -286,13 +333,14 @@ class VectorProcessBase:
             empty[sub] = still
         return pick
 
-    def _pop_step(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _pop_step(self, draws=None) -> Tuple[np.ndarray, np.ndarray]:
         """One (1+beta) pop in every replica — queue state only.
 
         Returns ``(labels, queues)``; the rank index is *not* updated
         (callers either update it immediately or defer a whole chunk).
+        ``draws`` is passed on to :meth:`_choose_removal_queues`.
         """
-        pick = self._choose_removal_queues()
+        pick = self._choose_removal_queues(draws)
         lin = self._row_base + pick
         tops = self._tops_flat
         # A queue's head is its top, so the popped label is read from tops.
@@ -309,6 +357,78 @@ class VectorProcessBase:
             self._may_have_empty = True
         self._removal_steps += 1
         return labels, pick
+
+    # -- the block kernel ------------------------------------------------
+
+    def _block_step(
+        self,
+        out: np.ndarray,
+        label: int,
+        lin_ins: np.ndarray,
+        two: np.ndarray,
+        lin_i: np.ndarray,
+        lin_j: np.ndarray,
+    ) -> Optional[np.ndarray]:
+        """``b`` insert+remove steps at once, when that is provably exact.
+
+        Step ``t`` appends ``label + t`` to flat queue ``lin_ins[t, r]``
+        and pops the better of ``lin_i[t, r]`` / ``lin_j[t, r]`` (the
+        ``two`` coin gating ``j``); the popped labels go to ``out[t]``.
+
+        The block is exact when every queue's count as a removal
+        candidate in it is below the queue's size (an empty queue always
+        fails).  Then no queue runs dry, so no pop redraws and no append
+        changes a top, and every pop's successor is already queued at
+        block start — so all ``b * R`` appends go first, in one grouped
+        scatter, and the pops follow in a short loop that tracks each
+        head as a flat buffer slot.  Sizes and heads are settled once at
+        the end.  Returns the ``(b, R)`` flat queues popped, or ``None``
+        — with nothing changed — when the block is not exact.
+        """
+        cells = self._size_flat.size
+        seen = np.bincount(lin_i.reshape(-1), minlength=cells)
+        seen += np.bincount(lin_j.reshape(-1), minlength=cells)
+        if not (seen < self._size_flat).all():
+            return None
+        b, replicas = lin_ins.shape
+        keys = lin_ins.reshape(-1)  # element t * R + r carries label + t
+        order, rank = _group_by_key(keys.astype(queue_key_type(cells)))
+        self._reserve(int(rank.max()) + 1)
+        head, buf, tops = self._head_flat, self._buf_flat, self._tops_flat
+        mask = self._capmask
+        # A head slot may not step past its ring's end inside the block:
+        # rotate each ring that could wrap so its head is at position 0.
+        pos = head & mask
+        wrap = np.flatnonzero(pos + seen > mask)
+        if len(wrap):
+            self._rotate_to_front(wrap)
+            pos[wrap] = 0
+        slots = self._ring_base + pos
+
+        dest = keys[order]
+        tail = (head[dest] + self._size_flat[dest] + rank) & mask
+        buf[self._ring_base[dest] + tail] = label + order // replicas
+
+        gated = not two.all()
+        picks = []
+        for t in range(b):
+            li, lj = lin_i[t], lin_j[t]
+            better = tops[lj] < tops[li]
+            if gated:
+                better &= two[t]
+            lin = np.where(better, lj, li)
+            picks.append(lin)
+            out[t] = tops[lin]
+            slot = slots[lin] + 1
+            slots[lin] = slot
+            tops[lin] = buf[slot]
+        picks = np.stack(picks)
+        taken = np.bincount(picks.reshape(-1), minlength=cells)
+        head += taken
+        self._size_flat += np.bincount(keys, minlength=cells) - taken
+        self._may_have_empty = False
+        self._removal_steps += b
+        return picks
 
     def _removal_step(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Remove one element in every replica.

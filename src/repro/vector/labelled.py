@@ -69,6 +69,25 @@ class VectorSequentialProcess(VectorProcessBase):
         """Per-replica queue for ``label``; round-robin overrides this."""
         return self._source.insert_queues()
 
+    def _draw_insert_rows(self, label: int, b: int) -> np.ndarray:
+        """Queues for up to ``b`` labels from ``label`` on, ``(k, R)``.
+
+        Round-robin overrides this.  A source without block draws
+        serves one row.
+        """
+        insert_block = getattr(self._source, "insert_block", None)
+        if insert_block is None:
+            return self._draw_insert_queues(label)[None]
+        return insert_block(b)
+
+    def _draw_block(self, b: int):
+        """``(inserts, two, i, j)`` for up to ``b`` steps, each ``(k, R)``.
+
+        ``None`` when the process or its source draws per step only.
+        """
+        step_block = getattr(self._source, "step_block", None)
+        return None if step_block is None else step_block(b)
+
     def insert(self) -> np.ndarray:
         """Insert the next consecutive label everywhere; returns queues."""
         label = self._next_label
@@ -100,8 +119,11 @@ class VectorSequentialProcess(VectorProcessBase):
         if self._buf is None and self._next_label == 0:
             # Step-major, so each draw is one contiguous row write.
             choices = np.empty((m, self.replicas), dtype=queue_key_type(self.n_queues))
-            for t in range(m):
-                choices[t] = self._draw_insert_queues(t)
+            t = 0
+            while t < m:
+                rows = self._draw_insert_rows(t, m - t)
+                choices[t : t + len(rows)] = rows
+                t += len(rows)
             self._alloc_from_assignment(choices.T)
             self._index.bulk_fill(m)
             self._next_label = m
@@ -149,17 +171,47 @@ class VectorSequentialProcess(VectorProcessBase):
             if sample_every:
                 k = min(k, sample_every - done % sample_every)
             first_label = self._next_label
-            for s in range(k):
-                label = self._next_label
-                self._append(self._draw_insert_queues(label), label)
-                self._next_label += 1
-                removed[s], pick = self._pop_step()
-                self._on_remove(pick)
+            s = 0
+            while s < k:
+                s += self._advance(removed[s:k])
             ranks[done : done + k] = self._flush_chunk(removed[:k], first_label, k)
             done += k
             if sample_every and done % sample_every == 0:
                 samples.append((done, *self.top_rank_profile()))
         return self._package(ranks, samples)
+
+    def _advance(self, out: np.ndarray) -> int:
+        """Run up to ``len(out)`` insert+remove steps; return how many.
+
+        The popped labels go to ``out``.  A block of draws runs through
+        the block kernel when that is exact, else step by step on the
+        same draws.
+        """
+        block = self._draw_block(len(out))
+        if block is None:
+            out[0] = self._step(self._draw_insert_queues(self._next_label))
+            return 1
+        ins, two, i, j = block
+        base = self._row_base
+        lin_i, lin_j = base + i, base + j
+        b = len(i)
+        picks = self._block_step(out, self._next_label, base + ins, two, lin_i, lin_j)
+        if picks is None:
+            for t in range(b):
+                out[t] = self._step(ins[t], (two[t], i[t], j[t]))
+        else:
+            self._next_label += b
+            self._on_remove(picks - base)
+        return b
+
+    def _step(self, queues: np.ndarray, draws=None) -> np.ndarray:
+        """Insert the next label into ``queues``, then pop; the popped labels."""
+        label = self._next_label
+        self._append(queues, label)
+        self._next_label += 1
+        labels, pick = self._pop_step(draws)
+        self._on_remove(pick)
+        return labels
 
     def run_steady_state_sampled(
         self, prefill: int, steps: int, sample_every: int = 1000
@@ -218,7 +270,12 @@ class VectorDChoiceProcess(VectorSequentialProcess):
         super().__init__(n_queues, capacity, replicas, beta=1.0, rng=rng, source=source)
         self.d = d
 
-    def _choose_removal_queues(self) -> np.ndarray:
+    def _draw_block(self, b: int):
+        """Best-of-d removals draw per step."""
+        return None
+
+    def _choose_removal_queues(self, draws=None) -> np.ndarray:
+        # ``draws`` is always None: _draw_block keeps best-of-d per step.
         rows = self._rows
         cand = self._source.dchoice_draws(self.d)
         tops = self._tops_at(rows[:, None], cand)
@@ -261,8 +318,21 @@ class VectorRoundRobinProcess(VectorSequentialProcess):
     def _draw_insert_queues(self, label: int) -> np.ndarray:
         return np.full(self.replicas, label % self.n_queues, dtype=np.int64)
 
+    def _draw_insert_rows(self, label: int, b: int) -> np.ndarray:
+        queues = np.arange(label, label + b, dtype=np.int64) % self.n_queues
+        return np.broadcast_to(queues[:, None], (b, self.replicas))
+
+    def _draw_block(self, b: int):
+        removal_block = getattr(self._source, "removal_block", None)
+        if removal_block is None:
+            return None
+        two, i, j = removal_block(b)
+        return (self._draw_insert_rows(self._next_label, len(i)), two, i, j)
+
     def _on_remove(self, queues: np.ndarray) -> None:
-        self._removal_counts[self._rows, queues] += 1
+        """Tally one step's ``(R,)`` or a block's ``(b, R)`` picks."""
+        flat = self._removal_counts.reshape(-1)
+        flat += np.bincount((self._row_base + queues).reshape(-1), minlength=flat.size)
 
     def removal_counts(self) -> np.ndarray:
         """``(R, n)`` removals per queue — the virtual bin loads."""
