@@ -46,6 +46,9 @@ SERVICE_VOLATILE_KEYS = frozenset(
 )
 
 Event = Tuple[int, int, int, int, int]  # (ev, label, clock, t0_ns, t1_ns)
+#: One shard's events: an ``(N, 5)`` int64 array of :data:`Event` rows, as
+#: the collector keeps them, or any sequence of such tuples.
+Events = Sequence[Event]
 
 
 def latency_stats(latencies_ns: np.ndarray, prefix: str) -> dict:
@@ -66,29 +69,28 @@ def latency_stats(latencies_ns: np.ndarray, prefix: str) -> dict:
     }
 
 
-def merge_events(events_by_shard: Sequence[Sequence[Event]]) -> np.ndarray:
+def merge_events(events_by_shard: Sequence[Events]) -> np.ndarray:
     """All shards' events as one ``(N, 6)`` array in linearized order.
 
-    Columns: shard, ev, label, clock, t0_ns, t1_ns.  Order is
+    The array is allocated once and filled shard by shard.  Columns:
+    shard, ev, label, clock, t0_ns, t1_ns.  Order is
     ``(clock, shard)`` — Lamport clocks give a causally consistent
     order, and within a shard the owner's clock is strictly increasing,
     so a label's insert always precedes its delete.
     """
-    blocks = []
-    for shard, events in enumerate(events_by_shard):
-        if not len(events):
-            continue
-        ev = np.asarray(events, dtype=np.int64).reshape(len(events), 5)
-        block = np.empty((ev.shape[0], 6), dtype=np.int64)
-        block[:, 0] = shard
-        block[:, 1:] = ev
-        blocks.append(block)
-    if not blocks:
-        return np.empty((0, 6), dtype=np.int64)
-    arr = np.concatenate(blocks)
+    blocks = [
+        np.asarray(events, dtype=np.int64).reshape(len(events), 5)
+        for events in events_by_shard
+    ]
+    arr = np.empty((sum(len(b) for b in blocks), 6), dtype=np.int64)
+    row = 0
+    for shard, block in enumerate(blocks):
+        arr[row : row + len(block), 0] = shard
+        arr[row : row + len(block), 1:] = block
+        row += len(block)
     # Stable sort on the same (clock, shard) keys as the old per-row
-    # path; concatenation preserves within-shard order, so the permuted
-    # result is byte-identical to it.
+    # path; shard-major filling preserves within-shard order, so the
+    # permuted result is byte-identical to it.
     order = np.lexsort((arr[:, 0], arr[:, 3]))
     return arr[order]
 
@@ -130,8 +132,10 @@ def replay_ranks(
     # cheap per-label running total answers the "all chunks before t's"
     # part via one cumsum per chunk, and the query's own chunk is small
     # enough for a dense broadcast comparison.
-    w = np.where(ev == EV_INSERT, 1, np.where(ev == EV_DELETE, -1, 0)).astype(np.int64)
-    del_pos = np.flatnonzero(ev == EV_DELETE)
+    is_insert = ev == EV_INSERT
+    is_delete = ev == EV_DELETE
+    w = is_insert.astype(np.int64) - is_delete
+    del_pos = np.flatnonzero(is_delete)
     qpos_all = del_pos[::sample_every]
     qlab_all = lab[qpos_all]
     total = merged.shape[0]
@@ -149,7 +153,11 @@ def replay_ranks(
             cpos = np.arange(start, stop)
             clab = lab[start:stop]
             mask = (cpos[None, :] < qpos[:, None]) & (clab[None, :] <= qlab[:, None])
-            out[qi:hi] = prefix[qlab] + (mask * w[None, start:stop]).sum(axis=1)
+            out[qi:hi] = (
+                prefix[qlab]
+                + np.count_nonzero(mask & is_insert[None, start:stop], axis=1)
+                - np.count_nonzero(mask & is_delete[None, start:stop], axis=1)
+            )
             qi = hi
         np.add.at(counts, lab[start:stop][acted[start:stop]], w[start:stop][acted[start:stop]])
     return out
@@ -185,7 +193,7 @@ def replay_ranks_reference(
 
 
 def summarize(
-    events_by_shard: Sequence[Sequence[Event]],
+    events_by_shard: Sequence[Events],
     schedule: ArrivalSchedule,
     wall_s: float,
     rank_sample_every: int = 16,
@@ -249,7 +257,7 @@ def summarize(
 
 def conservation_audit(
     segment: ServiceSegment,
-    events_by_shard: Sequence[Sequence[Event]],
+    events_by_shard: Sequence[Events],
 ) -> dict:
     """Prove from the journal that no op was lost or double-served.
 
@@ -280,17 +288,17 @@ def conservation_audit(
         journal.recover()
         entries = journal.scan()
         state = replay_journal(snap, entries)
-        collected = events_by_shard[s]
+        collected = np.asarray(events_by_shard[s], dtype=np.int64).reshape(-1, 5)
         seen = {
-            kind: sum(1 for ev in collected if ev[0] == kind)
+            kind: int(np.count_nonzero(collected[:, 0] == kind))
             for kind in (EV_INSERT, EV_DELETE, EV_EMPTY)
         }
-        clocks = [ev[2] for ev in collected]
+        clocks = collected[:, 2]
         events_match = (
             seen[EV_INSERT] == state.cum_inserts
             and seen[EV_DELETE] == state.cum_deletes
             and seen[EV_EMPTY] == state.cum_empties
-            and len(set(clocks)) == len(clocks)
+            and np.unique(clocks).size == clocks.size
         )
         conserved = state.cum_inserts == state.cum_deletes + len(state.heap)
         shard_rows.append(
@@ -344,7 +352,7 @@ def ranks_after(
 
 
 def sampled_rank_values(
-    events_by_shard: Sequence[Sequence[Event]],
+    events_by_shard: Sequence[Events],
     schedule: ArrivalSchedule,
     sample_every: int = 16,
 ) -> np.ndarray:

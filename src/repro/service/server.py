@@ -51,6 +51,13 @@ _NS = 1_000_000_000
 #: header — bounds how stale the published top can get under load.
 OWNER_BATCH = 64
 
+#: Seconds the collector sleeps after each pass over the journals.  A
+#: pass reads every committed entry up to the ring end, so at this pace
+#: an 8192-slot journal fills only at over 1.6M ops/s per shard, far
+#: beyond an owner's rate; a shorter interval would spend the collector's
+#: CPU on more, smaller passes.
+COLLECTOR_POLL_S = 0.005
+
 #: Exit code of an owner that discovered it was fenced (a zombie): its
 #: successor already took over, so dying is the correct behaviour.
 EXIT_FENCED = 3
@@ -583,20 +590,31 @@ class ServiceCluster:
 
 # -- event collection ---------------------------------------------------------
 
+#: ``JSLOT`` columns of an event row: op, label, clock, t0_ns, t1_ns.
+_EVENT_COLUMNS = [1, 2, 3, 4, 7]
+
 
 class EventCollector(threading.Thread):
     """The single reader of every shard's commit journal.
 
-    Runs in the parent while the service is live.  Each journal is
-    tailed from its shm cursor, and the cursor is published after every
-    batch so the owner can truncate what was read; because the owner
-    never recycles an unread entry, every committed op is collected
-    exactly once, across any number of takeovers.  Zombie entries (epoch
-    regressed) are skipped by the same rule as :func:`replay_journal`.
-    A shard is finished at its ``J_BYE`` (clean) or when its owner died
-    with nothing left to read — unless a supervisor is active, in which
-    case a dead owner is about to be respawned and the shard stays live
-    until its eventual BYE.
+    Runs in the parent while the service is live.  Each pass takes one
+    :meth:`~repro.service.shm.JournalRing.read_run` per live shard from
+    its shm cursor, applies it with array operations, publishes the
+    cursor once so the owner can truncate what was read, and then sleeps
+    :data:`COLLECTOR_POLL_S`.  Because the owner never recycles an
+    unread entry, every committed op is collected exactly once, across
+    any number of takeovers.  Zombie entries (epoch regressed) are
+    skipped by the same running-max rule as :func:`replay_journal`, and
+    ``J_STOP`` entries are dropped.  A shard is finished at its first
+    kept ``J_BYE`` (the cursor stops right after it and its label is the
+    residual) or when its owner died with nothing left to read — unless
+    a supervisor is active, in which case a dead owner is about to be
+    respawned and the shard stays live until its eventual BYE.
+
+    When the thread ends, ``events_by_shard[s]`` is one ``(N, 5)`` int64
+    array of ``(ev, label, clock, t0_ns, t1_ns)`` rows.  An exception
+    ends the thread too: it is kept in :attr:`error`, with the shard it
+    was reading in :attr:`error_shard`, for :func:`run_service` to raise.
     """
 
     def __init__(
@@ -609,10 +627,12 @@ class EventCollector(threading.Thread):
         self._segment = segment
         self._cluster = cluster
         self._supervisor = supervisor
-        self.events_by_shard: List[List[Tuple[int, int, int, int, int]]] = [
-            [] for _ in range(segment.shards)
+        self.events_by_shard: List[np.ndarray] = [
+            np.empty((0, 5), dtype=np.int64) for _ in range(segment.shards)
         ]
         self.residual_sizes: List[Optional[int]] = [None] * segment.shards
+        self.error: Optional[BaseException] = None
+        self.error_shard: Optional[int] = None
 
     def attach_supervisor(self, supervisor) -> None:
         self._supervisor = supervisor
@@ -622,40 +642,58 @@ class EventCollector(threading.Thread):
 
     def run(self) -> None:
         shards = self._segment.shards
+        chunks: List[List[np.ndarray]] = [[] for _ in range(shards)]
+        try:
+            self._collect(chunks)
+        except Exception as exc:  # kept for run_service; the thread just ends
+            self.error = exc
+        finally:
+            self.events_by_shard = [
+                np.concatenate(c) if c else np.empty((0, 5), dtype=np.int64)
+                for c in chunks
+            ]
+
+    def _collect(self, chunks: List[List[np.ndarray]]) -> None:
+        shards = self._segment.shards
         journals = [self._segment.journal(s) for s in range(shards)]
         cursors = [journal.cursor() for journal in journals]
         max_epoch = [0] * shards
         live = [True] * shards
-        while any(live):
-            progressed = False
+        while True:
             owners_alive = self._cluster.alive()
             for s in range(shards):
                 if not live[s]:
                     continue
-                start = cursors[s]
-                for _ in range(4 * OWNER_BATCH):
-                    e = journals[s].read(cursors[s])
-                    if e is None:
-                        break
-                    cursors[s] += 1
-                    if e.epoch < max_epoch[s]:
-                        continue  # unfenced zombie commit
-                    max_epoch[s] = e.epoch
-                    if e.op == J_BYE:
-                        self.residual_sizes[s] = e.label
-                        live[s] = False
-                        break
-                    if e.op != J_STOP:
-                        self.events_by_shard[s].append(
-                            (e.op, e.label, e.clock, e.t0_ns, e.t1_ns)
-                        )
-                if cursors[s] != start:
-                    journals[s].set_cursor(cursors[s])
-                    progressed = True
-                elif not owners_alive[s] and not self._supervised():
-                    live[s] = False  # killed owner, journal fully read, no respawn coming
-            if not progressed:
-                time.sleep(0.0005)
+                self.error_shard = s
+                run = journals[s].read_run(cursors[s], journals[s].capacity)
+                if not len(run):
+                    if not owners_alive[s] and not self._supervised():
+                        live[s] = False  # killed owner, journal fully read, no respawn coming
+                    continue
+                words = run.view(np.int64)
+                ops = words[:, 1]
+                # An entry is a zombie commit iff its epoch is below the
+                # running max of every entry before it.
+                seen = np.maximum.accumulate(
+                    np.concatenate(([max_epoch[s]], words[:, 8]))
+                )
+                kept = words[:, 8] >= seen[:-1]
+                byes = np.flatnonzero(kept & (ops == J_BYE))
+                end = len(run)
+                if byes.size:
+                    end = int(byes[0]) + 1
+                    self.residual_sizes[s] = int(words[end - 1, 2])
+                    live[s] = False
+                keep = kept[:end] & (ops[:end] != J_STOP) & (ops[:end] != J_BYE)
+                if keep.any():
+                    chunks[s].append(words[:end][keep][:, _EVENT_COLUMNS])
+                max_epoch[s] = int(seen[end])
+                cursors[s] += end
+                journals[s].set_cursor(cursors[s])
+            self.error_shard = None
+            if not any(live):
+                return
+            time.sleep(COLLECTOR_POLL_S)
 
 
 # -- whole-service runs -------------------------------------------------------
@@ -840,9 +878,19 @@ def run_service(
             supervisor.stop()
             supervisor.join(timeout=30.0)
         _stop_owners(segment, cluster)
-        owner_exits = cluster.join(timeout_s=30.0)
+        # Owners exit once the collector has read their BYE.  A collector
+        # that failed, or still waits after 30 s, never will: its owners
+        # are stopped at once instead of waited for.
+        collector.join(timeout=30.0)
+        finished = collector.error is None and not collector.is_alive()
+        owner_exits = cluster.join(timeout_s=30.0 if finished else 0.0)
         collector.join(timeout=30.0)
         wall_s = (time.monotonic_ns() - wall_start) / _NS
+        if collector.error is not None:
+            raise RuntimeError(
+                f"event collector failed on shard {collector.error_shard}: "
+                f"{collector.error}"
+            ) from collector.error
 
         audit = segment.audit()
         conservation = conservation_audit(segment, collector.events_by_shard)

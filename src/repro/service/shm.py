@@ -179,6 +179,23 @@ def journal_checksum(
     return ((h ^ epoch) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF or 1
 
 
+def journal_checksums(fields: np.ndarray) -> np.ndarray:
+    """:func:`journal_checksum` of every row of a ``(k, 8)`` uint64 array.
+
+    Columns are the payload fields in ``JSLOT`` order (op, label, clock,
+    t0_ns, lane, reqpos, t1_ns, epoch), signed fields as their
+    two's-complement words.  uint64 arithmetic wraps mod 2**64, so one
+    XOR-multiply per column over all rows is the scalar fold.
+    """
+    h = np.full(fields.shape[0], 0x9E3779B97F4A7C15, dtype=np.uint64)
+    prime = np.uint64(0x100000001B3)
+    for column in fields.T:
+        h ^= column
+        h *= prime
+    h[h == 0] = 1
+    return h
+
+
 _SNAP_SALT = 0xA5A5A5A55A5A5A5A
 _SNAP_PRIME = 0x100000001B3
 
@@ -204,7 +221,14 @@ def snapshot_checksum(scalars: Sequence[int], watermarks, labels) -> int:
 
 
 class TornSlotError(RuntimeError):
-    """A committed slot failed its checksum — the protocol was violated."""
+    """A committed slot failed its checksum — the protocol was violated.
+
+    ``pos`` is the absolute ring position at fault, when there is one.
+    """
+
+    def __init__(self, message: str, pos: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.pos = pos
 
 
 class FencedOwnerError(RuntimeError):
@@ -425,6 +449,32 @@ class JournalEntry(NamedTuple):
 
 
 _CURSOR = struct.Struct("<Q")
+_JWORDS = JSLOT.size // 8  # u64 words per journal slot
+_SIGNED_JCOLS = (2, 4, 7)  # label, t0_ns, t1_ns: the signed JSLOT words
+_SEQ_PROBE = 256  # slots in read_run's first seq window
+
+
+def _copy_words(buf, offset: int, count: int, step: int = 1) -> np.ndarray:
+    """Every ``step``-th of ``count`` native u64 words at ``offset``, copied.
+
+    Each word is one aligned 8-byte load.  The temporary view over
+    ``buf`` dies here, so no array outlives the call holding the
+    segment's buffer exported (``SharedMemory.close`` would refuse).
+    """
+    view = np.frombuffer(buf, dtype=np.uint64, count=count, offset=offset)
+    return view[::step].copy()
+
+
+def _entries(run: np.ndarray) -> List[JournalEntry]:
+    """A :meth:`JournalRing.read_run` result as :class:`JournalEntry` rows."""
+    signed = run.view(np.int64)
+    columns = [
+        (signed if j in _SIGNED_JCOLS else run)[:, j].tolist() for j in range(1, 9)
+    ]
+    return [
+        JournalEntry(seq - 1, *fields)
+        for seq, *fields in zip(run[:, 0].tolist(), *columns)
+    ]
 
 
 class JournalRing:
@@ -516,21 +566,49 @@ class JournalRing:
 
     # -- reader side -----------------------------------------------------
 
-    def read(self, pos: int) -> Optional[JournalEntry]:
-        """The committed entry at absolute ``pos``; ``None`` if uncommitted.
+    def read_run(self, pos: int, limit: int) -> np.ndarray:
+        """Up to ``limit`` committed entries from absolute ``pos`` on.
 
+        Returns a ``(k, 10)`` uint64 array of slot words in ``JSLOT``
+        column order (``run[:, 0] - 1`` are the positions; view it as
+        int64 for the signed fields).  The run stops at the first
+        uncommitted slot and at the ring end; the next call continues
+        from physical slot 0.  The seq words are read first, in windows
+        of 256, 512, 1024, ... slots until one holds an uncommitted slot;
+        only the committed prefix's payloads are then copied, in one
+        slice copy, so every copied payload was complete before its seq
+        was seen committed, and an uncommitted slot's partial payload is
+        never checksummed.  One vectorized fold checks every checksum; a bad
+        one raises :class:`TornSlotError` naming its absolute position.
         Non-destructive: the collector tails the journal with it and
-        :meth:`scan` is built on it.  Raises :class:`TornSlotError` on a
-        committed entry with a bad checksum.
+        :meth:`scan` and :meth:`audit` are built on it.
         """
-        seq, op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch, checksum = (
-            JSLOT.unpack_from(self._buf, self._slot_offset(pos))
-        )
-        if seq != pos + 1:
-            return None
-        if checksum != journal_checksum(op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch):
-            raise TornSlotError(f"journal position {pos} committed with a bad checksum")
-        return JournalEntry(pos, op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch)
+        n = min(limit, self.capacity - pos % self.capacity)
+        if n <= 0:
+            return np.empty((0, _JWORDS), dtype=np.uint64)
+        off = self._slot_offset(pos)
+        # Probe the seqs in doubling windows, so a tailing reader touches
+        # 256 slots or about twice the committed prefix, not the whole ring.
+        k, width = 0, _SEQ_PROBE
+        while k < n:
+            m = min(width, n - k)
+            seqs = _copy_words(
+                self._buf, off + k * JSLOT.size, (m - 1) * _JWORDS + 1, _JWORDS
+            )
+            committed = seqs == np.arange(pos + k + 1, pos + k + m + 1, dtype=np.uint64)
+            if not committed.all():
+                k += int(committed.argmin())
+                break
+            k += m
+            width *= 2
+        run = _copy_words(self._buf, off, k * _JWORDS).reshape(k, _JWORDS)
+        bad = journal_checksums(run[:, 1:9]) != run[:, 9]
+        if bad.any():
+            torn = pos + int(bad.argmax())
+            raise TornSlotError(
+                f"journal position {torn} committed with a bad checksum", torn
+            )
+        return run
 
     def cursor(self) -> int:
         """First position the collector has not read yet."""
@@ -546,13 +624,15 @@ class JournalRing:
     def scan(self) -> List[JournalEntry]:
         """All committed entries in ``[tail, head)``, non-destructively."""
         out: List[JournalEntry] = []
-        for pos in range(self._tail, self._head):
-            entry = self.read(pos)
-            if entry is None:
+        pos = self._tail
+        while pos < self._head:
+            run = self.read_run(pos, self._head - pos)
+            if not len(run):
                 raise TornSlotError(
-                    f"journal position {pos} inside [tail, head) is not committed"
+                    f"journal position {pos} inside [tail, head) is not committed", pos
                 )
-            out.append(entry)
+            out.extend(_entries(run))
+            pos += len(run)
         return out
 
     def recover(self) -> None:
@@ -562,19 +642,31 @@ class JournalRing:
         )
 
     def audit(self) -> RingAudit:
-        committed = free = torn = 0
-        for i in range(self.capacity):
-            (seq,) = _SEQ.unpack_from(self._buf, self._slot_offset(i))
-            if (seq - i) % self.capacity == 0:
+        cap = self.capacity
+        seqs = _copy_words(self._buf, self._slot_offset(0), cap * _JWORDS, _JWORDS)
+        free = torn = committed = 0
+        positions = []  # of the slots whose seq residue reads committed
+        for i, seq in enumerate(seqs.tolist()):
+            if (seq - i) % cap == 0:
                 free += 1
-                continue
+            elif (seq - i - 1) % cap == 0:
+                positions.append(seq - 1)
+            else:
+                torn += 1
+        # Each slot holds a distinct residue, so consecutive positions in
+        # sorted order are exactly what one read_run covers.
+        positions.sort()
+        k = 0
+        while k < len(positions):
             try:
-                intact = (seq - i - 1) % self.capacity == 0 and self.read(seq - 1) is not None
-            except TornSlotError:
-                intact = False
+                intact = len(self.read_run(positions[k], len(positions) - k))
+                bad = intact == 0  # the seq moved since the census
+            except TornSlotError as exc:
+                intact, bad = exc.pos - positions[k], True
             committed += intact
-            torn += not intact
-        return RingAudit(capacity=self.capacity, committed=committed, free=free, torn=torn)
+            torn += bad
+            k += intact + bad
+        return RingAudit(capacity=cap, committed=committed, free=free, torn=torn)
 
 
 class SnapshotState(NamedTuple):

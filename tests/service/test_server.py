@@ -14,6 +14,7 @@ from repro.core.policies import biased_insert_probs
 from repro.service.loadgen import ScheduleSpec
 from repro.service.metrics import conservation_audit, merge_events, replay_ranks, summarize
 from repro.service.server import (
+    OWNER_BATCH,
     ROUTER_DRAW_BLOCK,
     EventCollector,
     Router,
@@ -24,16 +25,23 @@ from repro.service.server import (
     run_shard_owner,
     shard_owner_main,
 )
+from repro.service import shm
 from repro.service.shm import (
     EV_DELETE,
     EV_EMPTY,
     EV_INSERT,
+    J_BYE,
+    J_STOP,
+    JSLOT,
     OP_DELETE,
     OP_INSERT,
     OP_STOP,
     FencedOwnerError,
+    JournalEntry,
     ServiceSegment,
     TOP_EMPTY,
+    TornSlotError,
+    journal_checksum,
 )
 
 
@@ -435,6 +443,167 @@ class TestJournalCursor:
         assert [e[1] for e in collector.events_by_shard[0]] == labels
         assert conservation_audit(seg, collector.events_by_shard)["events_match"]
         assert seg.audit()["pending"] == 0
+
+
+def _read_entry(journal, pos):
+    """The per-entry decode the collector used before ``read_run``."""
+    seq, *fields, checksum = JSLOT.unpack_from(journal._buf, journal._slot_offset(pos))
+    if seq != pos + 1:
+        return None
+    if checksum != journal_checksum(*fields):
+        raise TornSlotError(f"journal position {pos} committed with a bad checksum")
+    return JournalEntry(pos, *fields)
+
+
+class _ReferenceCollector:
+    """The per-entry loop :class:`EventCollector` ran before its run
+    decoder, one pass per :meth:`one_pass`: the executable spec of the
+    columnar collector."""
+
+    def __init__(self, segment):
+        self.journals = [segment.journal(s) for s in range(segment.shards)]
+        self.cursors = [journal.cursor() for journal in self.journals]
+        self.max_epoch = [0] * segment.shards
+        self.live = [True] * segment.shards
+        self.events_by_shard = [[] for _ in range(segment.shards)]
+        self.residual_sizes = [None] * segment.shards
+
+    def one_pass(self, owners_alive):
+        progressed = False
+        for s, journal in enumerate(self.journals):
+            if not self.live[s]:
+                continue
+            start = self.cursors[s]
+            for _ in range(4 * OWNER_BATCH):
+                e = _read_entry(journal, self.cursors[s])
+                if e is None:
+                    break
+                self.cursors[s] += 1
+                if e.epoch < self.max_epoch[s]:
+                    continue  # unfenced zombie commit
+                self.max_epoch[s] = e.epoch
+                if e.op == J_BYE:
+                    self.residual_sizes[s] = e.label
+                    self.live[s] = False
+                    break
+                if e.op != J_STOP:
+                    self.events_by_shard[s].append((e.op, e.label, e.clock, e.t0_ns, e.t1_ns))
+            if self.cursors[s] != start:
+                journal.set_cursor(self.cursors[s])
+                progressed = True
+            elif not owners_alive[s]:
+                self.live[s] = False
+        return progressed
+
+
+def _script_journal(seg, drain):
+    """Append a scripted journal to shard 0, letting ``drain`` collect
+    it before each truncation.  Positions 8..11 wrap the 8-slot ring."""
+    journal = seg.journal(0)
+
+    def append(ev, label, epoch, clock):
+        assert journal.try_append(ev, label, clock, 10 * clock, 0, clock, 10 * clock + 1, epoch)
+
+    append(EV_INSERT, 5, 1, 1)
+    append(EV_INSERT, 3, 1, 2)
+    append(EV_DELETE, 3, 1, 3)
+    append(EV_EMPTY, -1, 1, 4)
+    append(J_STOP, 0, 1, 5)
+    drain()
+    journal.truncate_to(journal.cursor())
+    # A successor at epoch 2, with its zombie predecessor's late commits
+    # (a delete, a STOP and a BYE at epoch 1) in between.
+    append(EV_INSERT, 8, 2, 6)
+    append(EV_DELETE, 5, 1, 7)
+    append(EV_INSERT, 2, 2, 8)
+    append(J_STOP, 0, 1, 9)
+    append(J_BYE, 99, 1, 10)
+    append(EV_DELETE, 2, 2, 11)
+    append(J_STOP, 0, 2, 12)
+    drain()
+    journal.truncate_to(journal.cursor())
+    append(J_BYE, 1, 2, 13)  # position 12
+    append(EV_INSERT, 77, 2, 14)  # past the BYE: must stay unread
+    append(EV_INSERT, 78, 3, 15)
+
+
+class TestColumnarCollector:
+    def test_matches_the_per_entry_reference(self, one_shard):
+        reference_seg = ServiceSegment.create(
+            shards=1, lanes=2, req_capacity=16, journal_capacity=8, state_capacity=64
+        )
+        try:
+            reference = _ReferenceCollector(reference_seg)
+
+            def drain_reference():
+                while reference.one_pass([True]):
+                    pass
+
+            _script_journal(reference_seg, drain_reference)
+            drain_reference()
+
+            collector = _collector(one_shard, running=(0,))
+            cursor = one_shard.journal(0).cursor
+            drained_at = iter((5, 12))
+
+            def drain():
+                want = next(drained_at)
+                _wait_for(lambda: cursor() == want)
+
+            _script_journal(one_shard, drain)
+            collector.join(timeout=10.0)
+            assert not collector.is_alive() and collector.error is None
+
+            events = collector.events_by_shard[0]
+            assert events.dtype == np.int64 and events.shape == (7, 5)
+            assert events.tolist() == [list(e) for e in reference.events_by_shard[0]]
+            assert [(e[0], e[1]) for e in events] == [
+                (EV_INSERT, 5), (EV_INSERT, 3), (EV_DELETE, 3), (EV_EMPTY, -1),
+                (EV_INSERT, 8), (EV_INSERT, 2), (EV_DELETE, 2),
+            ]
+            assert collector.residual_sizes == reference.residual_sizes == [1]
+            assert cursor() == reference_seg.journal(0).cursor() == 13  # BYE + 1
+        finally:
+            reference_seg.close()
+            reference_seg.unlink()
+
+    def test_a_torn_entry_ends_the_collector_with_its_position(self, one_shard):
+        journal = one_shard.journal(0)
+        cap = journal.capacity
+        for i in range(cap):
+            assert journal.try_append(EV_INSERT, i, i + 1, 0, 0, i, 0, 1)
+        journal.set_cursor(cap)
+        journal.truncate_to(cap)
+        for i in range(3):
+            assert journal.try_append(EV_INSERT, i, cap + i + 1, 0, 0, i, 0, 1)
+        journal._buf[journal._slot_offset(cap + 1) + 16] ^= 0xFF  # label of position cap+1
+        collector = _collector(one_shard, running=(0,))  # its owner looks alive
+        collector.join(timeout=10.0)
+        assert not collector.is_alive()
+        assert isinstance(collector.error, TornSlotError)
+        assert collector.error.pos == cap + 1 and collector.error_shard == 0
+        assert journal.cursor() == cap  # nothing past the tear was taken
+        assert collector.events_by_shard[0].shape == (0, 5)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the owners must inherit the patched checksum",
+    )
+    def test_run_service_raises_a_collector_failure(self, monkeypatch):
+        real = shm.journal_checksum
+
+        def corrupt_deletes(op, *fields):
+            return real(op, *fields) ^ (op == EV_DELETE)
+
+        # Owners are forked, so they journal every delete with a bad checksum.
+        monkeypatch.setattr(shm, "journal_checksum", corrupt_deletes)
+        spec = ScheduleSpec(mode="poisson", ops=400, prefill=64, rate=0.0, seed=13)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"event collector failed on shard \d") as info:
+            run_service(shards=2, workers=1, spec=spec, beta=0.5, seed=2)
+        assert isinstance(info.value.__cause__, TornSlotError)
+        assert f"position {info.value.__cause__.pos} " in str(info.value)
+        assert time.monotonic() - started < 20.0  # owners were not waited out
 
 
 def _proc_gone(pid):

@@ -24,6 +24,7 @@ from repro.service.shm import (
     TOP_EMPTY,
     TornSlotError,
     journal_checksum,
+    journal_checksums,
     slot_checksum,
 )
 
@@ -257,7 +258,7 @@ class TestServiceSegment:
             for lane in range(segment.lanes):
                 assert segment.request_ring(s, lane).try_pop()[1] == tag
                 tag += 1
-            assert segment.journal(s).read(0).label == tag
+            assert segment.journal(s).read_run(0, 1)[0, 2] == tag
             assert segment.journal(s).cursor() == tag
             tag += 1
             assert segment.header(s).read()[1] == tag
@@ -497,22 +498,84 @@ class TestJournalRing:
             assert journal_checksum(*args) != base
 
     def test_read_tails_committed_entries_only(self, small_segment):
-        """The collector's read: committed entries in order, ``None`` at a
-        free, torn-but-uncommitted or recycled position."""
+        """The collector's read: committed entries in order, an empty run
+        at a free, torn-but-uncommitted or recycled position."""
         journal = small_segment.journal(0)
-        assert journal.read(0) is None  # nothing committed yet
+        assert len(journal.read_run(0, 8)) == 0  # nothing committed yet
         assert journal.try_append(OP_INSERT, 5, 1, 2, 0, 0, 3, 1)
-        assert journal.read(0) == journal.scan()[0]
-        assert journal.read(0).t1_ns == 3
+        run = journal.read_run(0, 8)
+        assert run.shape == (1, JSLOT.size // 8)
+        assert tuple(run[0, 1:9]) == tuple(journal.scan()[0][1:])
+        assert run[0, 7] == 3  # t1_ns
         # A payload written without its commit store stays invisible.
         off = journal._slot_offset(1)
         JSLOT.pack_into(
             journal._buf, off, 1, OP_INSERT, 6, 0, 0, 0, 1, 0, 1,
             journal_checksum(OP_INSERT, 6, 0, 0, 0, 1, 0, 1),
         )
-        assert journal.read(1) is None
+        assert len(journal.read_run(1, 8)) == 0
+        assert len(journal.read_run(0, 8)) == 1
         journal.truncate_to(1)
-        assert journal.read(0) is None  # recycled for the next lap
+        assert len(journal.read_run(0, 8)) == 0  # recycled for the next lap
+
+    def test_read_run_stops_before_an_uncommitted_slot_unchecked(self, small_segment):
+        """The first uncommitted slot ends the run, and its payload (here
+        garbage with a wrong checksum) is never copied or checksummed."""
+        journal = small_segment.journal(0)
+        for i in range(3):
+            assert journal.try_append(OP_INSERT, i, i, 0, 0, i, 0, 1)
+        JSLOT.pack_into(journal._buf, journal._slot_offset(3), 3, *range(7, 16))
+        run = journal.read_run(0, 8)
+        assert run[:, 2].tolist() == [0, 1, 2]
+        assert run[:, 0].tolist() == [1, 2, 3]  # seq = position + 1
+        assert journal.read_run(1, 1)[:, 2].tolist() == [1]  # limit honoured
+
+    def test_read_run_stops_at_the_ring_end_and_resumes_at_slot_zero(self):
+        cap = 8
+        buf = bytearray(JournalRing.region_size(cap))  # nothing past the ring end
+        journal = JournalRing(buf, 0, cap, memoryview(buf).cast("Q"))
+        journal.initialize()
+        for i in range(cap - 2):
+            assert journal.try_append(OP_INSERT, i, 0, 0, 0, i, 0, 1)
+        journal.truncate_to(cap - 2)
+        for i in range(5):  # positions cap-2 .. cap+2 straddle the ring end
+            assert journal.try_append(OP_INSERT, 100 + i, 0, 0, 0, i, 0, 1)
+        first = journal.read_run(cap - 2, cap)
+        assert first[:, 2].tolist() == [100, 101]
+        second = journal.read_run(cap, cap)
+        assert second[:, 2].tolist() == [102, 103, 104]
+        assert (second[:, 0] - 1).tolist() == [cap, cap + 1, cap + 2]
+
+    @pytest.mark.parametrize("committed", [255, 256, 257, 700, 1024])
+    def test_read_run_spans_its_seq_probe_windows(self, committed):
+        """Runs longer than one seq window (256, then 512, ...) come back
+        whole, and still end at the first uncommitted slot."""
+        cap = 1024
+        buf = bytearray(JournalRing.region_size(cap))
+        journal = JournalRing(buf, 0, cap, memoryview(buf).cast("Q"))
+        journal.initialize()
+        for i in range(committed):
+            assert journal.try_append(OP_INSERT, i, i, 0, 0, i, 0, 1)
+        if committed < cap:
+            JSLOT.pack_into(buf, journal._slot_offset(committed), committed, *range(7, 16))
+        run = journal.read_run(0, cap)
+        assert run[:, 2].tolist() == list(range(committed))
+        assert len(journal.read_run(0, 300)) == min(300, committed)  # limit honoured
+
+    def test_read_run_names_the_absolute_torn_position(self, small_segment):
+        journal = small_segment.journal(0)
+        cap = journal.capacity
+        for i in range(cap):
+            assert journal.try_append(OP_INSERT, i, 0, 0, 0, i, 0, 1)
+        journal.truncate_to(cap)
+        for i in range(3):
+            assert journal.try_append(OP_INSERT, i, 0, 0, 0, i, 0, 2)
+        journal._buf[journal._slot_offset(cap + 1) + 16] ^= 0xFF  # label of position cap+1
+        with pytest.raises(TornSlotError, match=f"position {cap + 1} ") as info:
+            journal.read_run(cap, cap)
+        assert info.value.pos == cap + 1
+        assert journal.read_run(cap, 1)[:, 2].tolist() == [0]  # the good prefix
+        assert journal.audit().torn == 1 and journal.audit().committed == 2
 
     def test_cursor_is_shared_and_starts_at_zero(self, small_segment):
         journal = small_segment.journal(0)
@@ -652,6 +715,22 @@ class TestChecksumFolds:
         journal_args = (EV_INSERT, 9, 4, -2, 1, 42, -1, _reference_fold(journal_head))
         assert _reference_fold(journal_head + (journal_args[-1],)) == 0
         assert journal_checksum(*journal_args) == 1 == _reference_journal_checksum(*journal_args)
+        other = (EV_DELETE, -7 & _MASK64, 5, 6, 0, 3, 8, 2)
+        fields = np.array([journal_head + (journal_args[-1],), other], dtype=np.uint64)
+        assert journal_checksums(fields).tolist() == [1, _reference_fold(other)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_unsigned, _signed, _unsigned, _signed, _unsigned, _unsigned, _signed, _unsigned),
+            max_size=20,
+        )
+    )
+    def test_vectorized_journal_fold_matches_scalar(self, rows):
+        fields = np.array(
+            [[v & _MASK64 for v in row] for row in rows], dtype=np.uint64
+        ).reshape(len(rows), 8)
+        assert journal_checksums(fields).tolist() == [journal_checksum(*row) for row in rows]
 
 
 # -- single-store seq and epoch words ----------------------------------------
