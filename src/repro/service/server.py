@@ -316,181 +316,298 @@ def recover_shard_state(segment: ServiceSegment, shard: int) -> RecoveredState:
     return replay_journal(snap, journal.scan())
 
 
+class ShardOwner:
+    """One shard's owner: its private heap and op path over a segment.
+
+    Construction is the boot: bump the header epoch (fencing any
+    predecessor), rebuild state from snapshot + journal, recycle request
+    slots a predecessor applied but never recycled, publish, and fold
+    the replayed suffix into a fresh snapshot.  :meth:`sweep` passes
+    over every lane once; :meth:`run` sweeps until every lane has sent
+    ``OP_STOP``, then says a durable goodbye.  ``sleep`` is the idle
+    wait, so a test can drive an owner step by step.
+
+    Each lane pass drains up to :data:`OWNER_BATCH` requests in
+    *chunks*.  A chunk is the lane's committed run, decoded in one
+    vectorized pass (:meth:`~repro.service.shm.SlotRing.read_run`) and
+    cut after ``OP_STOP``, at the next snapshot boundary and at the
+    journal's free slots.  One Python pass applies it to the heap, which
+    is private to this process (only the journal and the snapshot are
+    durable, and a snapshot is only taken between chunks).  Then the
+    chunk is journaled in one :meth:`~repro.service.shm.JournalRing.append_run`,
+    which still commits entry by entry: a fence check (one word load of
+    the header epoch), the commit store, then this owner recycles the
+    request slot with its own word store and publishes the post-op
+    ``(top, size)`` of every insert and delete.  So a SIGKILL at any
+    instruction leaves each op either committed or replayable, and a
+    fenced zombie commits nothing after the fence moved.
+    """
+
+    def __init__(
+        self, segment: ServiceSegment, shard: int, poll_s: float = 0.0002,
+        snapshot_every: int = 1024, sleep=time.sleep,
+    ) -> None:
+        self.shard = shard
+        self.snapshot_every = snapshot_every
+        self._poll_s = poll_s
+        self._sleep = sleep
+        self._parent = os.getppid()
+        self.header = segment.header(shard)
+        self.epoch = self.header.bump_epoch()
+        self._fenced = self.header.fence(self.epoch)
+        state = recover_shard_state(segment, shard)
+        self.lanes = [segment.request_ring(shard, lane) for lane in range(segment.lanes)]
+        for lane_id, ring in enumerate(self.lanes):
+            ring.recover()
+            # Recycle slots a predecessor applied (journaled) but died
+            # before recycling — including on lanes already stopped,
+            # which the drain loop never visits again.
+            while ring.tail < state.watermarks[lane_id] and ring.try_peek() is not None:
+                ring.advance()
+        self.journal = segment.journal(shard)
+        self.journal.recover()
+        self.snapshot = segment.snapshot(shard)
+        self.heap = state.heap
+        self.stopped = state.stopped
+        self.watermarks = state.watermarks
+        self.clock = state.clock
+        self.cum_inserts = state.cum_inserts
+        self.cum_deletes = state.cum_deletes
+        self.cum_empties = state.cum_empties
+        self.fold_pos = self.journal.tail
+        self.since_snapshot = 0
+        # A successor first re-publishes ownership, then folds the
+        # replayed suffix: recovery is idempotent.
+        self._publish()
+        self._take_snapshot()
+
+    # -- the drain loop -----------------------------------------------------
+
+    def run(self) -> int:
+        """Sweep until every lane stopped, then journal ``J_BYE``, wait
+        until the collector has read the whole journal, and fold it
+        away.  Returns the residual heap size."""
+        while not all(self.stopped):
+            if not self.sweep():
+                self._wait()
+        # Durable goodbye: the collector reads J_BYE last, then the whole
+        # journal folds away (nothing left pending).
+        while not self._room():
+            self._make_room()
+        self._append(([J_BYE], len(self.heap), self.clock + 1, 0, 0, 0), time.monotonic_ns())
+        while self.journal.cursor() < self.journal.head:
+            self._wait()
+        self._take_snapshot()
+        self._publish()
+        return len(self.heap)
+
+    def sweep(self) -> int:
+        """One pass over the unstopped lanes; returns the ops applied.
+
+        Publishes the header once more after a pass that applied
+        anything, so routers and liveness probes see fresh state —
+        unless the fence moved meanwhile.
+        """
+        self._check_fence()
+        applied = 0
+        for lane_id in range(len(self.lanes)):
+            if not self.stopped[lane_id]:
+                applied += self._drain_lane(lane_id)
+        if applied:
+            self._check_fence()
+            self._publish()
+        return applied
+
+    def _drain_lane(self, lane_id: int) -> int:
+        """Apply up to ``OWNER_BATCH`` requests of one lane, chunk by chunk."""
+        ring = self.lanes[lane_id]
+        budget = OWNER_BATCH
+        applied = 0
+        while budget and not self.stopped[lane_id]:
+            run = ring.read_run(ring.tail, budget)
+            if not len(run):
+                break
+            limit = min(self._room(), self.snapshot_every - self.since_snapshot)
+            taken, rows = self._apply_chunk(lane_id, run.view(np.int64), limit)
+            budget -= taken
+            applied += rows
+            if self.since_snapshot >= self.snapshot_every:
+                self._take_snapshot()
+                self.since_snapshot = 0
+            elif taken < len(run) and not rows:
+                self._make_room()  # the journal is full
+        return applied
+
+    def _apply_chunk(self, lane_id: int, run: np.ndarray, limit: int) -> Tuple[int, int]:
+        """Apply and journal one decoded chunk: ``(slots taken, ops applied)``.
+
+        ``run`` is the lane's committed run as int64 slot words.  Its
+        leading slots below the lane's watermark were journaled by a
+        predecessor that died before recycling them: they are recycled
+        with no journal entry.  Then at most ``limit`` requests are
+        applied to the heap, stopping after ``OP_STOP``, and journaled
+        with one ``t1_ns``.
+        """
+        ring = self.lanes[lane_id]
+        skipped = max(0, min(len(run), self.watermarks[lane_id] - ring.tail))
+        for _ in range(skipped):
+            ring.advance()
+        heap = self.heap
+        clock = self.clock
+        inserts = deletes = empties = 0
+        evs: List[int] = []
+        labels: List[int] = []
+        clocks: List[int] = []
+        published: List[Optional[Tuple[int, int]]] = []  # post-op (top, size)
+        for op, label, req_clock in run[skipped : skipped + limit, 1:4].tolist():
+            clock = (clock if clock > req_clock else req_clock) + 1
+            clocks.append(clock)
+            if op == OP_INSERT:
+                heapq.heappush(heap, label)
+                evs.append(EV_INSERT)
+                labels.append(label)
+                published.append((heap[0], len(heap)))
+                inserts += 1
+            elif op == OP_DELETE and heap:
+                evs.append(EV_DELETE)
+                labels.append(heapq.heappop(heap))
+                published.append((heap[0] if heap else TOP_EMPTY, len(heap)))
+                deletes += 1
+            elif op == OP_DELETE:
+                evs.append(EV_EMPTY)
+                labels.append(-1)
+                published.append(None)
+                empties += 1
+            elif op == OP_STOP:
+                evs.append(J_STOP)
+                labels.append(0)
+                published.append(None)
+                self.stopped[lane_id] = True
+                break
+            else:
+                pos = ring.tail + len(evs)
+                raise TornSlotError(f"request slot position {pos} carries opcode {op}", pos)
+        self.clock = clock
+        self.cum_inserts += inserts
+        self.cum_deletes += deletes
+        self.cum_empties += empties
+        k = len(evs)
+        if not k:
+            return skipped, 0
+        rows = run[skipped : skipped + k]
+        self.watermarks[lane_id] = int(rows[-1, 0])  # last position + 1
+        self.since_snapshot += k
+        publish = self.header.publish
+        now = time.monotonic_ns()
+
+        def committed(i: int) -> None:
+            ring.advance()
+            post = published[i]
+            if post is not None:
+                publish(post[0], post[1], now)  # per op: stale tops make two-choice herd
+
+        self._append((evs, labels, clocks, rows[:, 4], lane_id, rows[:, 0] - 1), now, committed)
+        return skipped + k, k
+
+    def _append(self, columns, t1_ns: int, committed=None) -> None:
+        """Journal ``(ev, label, clock, t0_ns, lane, reqpos)`` columns
+        (sequences, or scalars for every row), stamped with ``t1_ns``
+        and this owner's epoch."""
+        fields = np.empty((len(columns[0]), 8), dtype=np.int64)
+        for j, column in enumerate(columns):
+            fields[:, j] = column
+        fields[:, 6] = t1_ns
+        fields[:, 7] = self.epoch
+        if not self.journal.append_run(fields.view(np.uint64), self._fenced, committed):
+            raise TornSlotError(
+                f"shard {self.shard} journal position {self.journal.head} is not free",
+                self.journal.head,
+            )
+
+    # -- journal room, snapshots and waiting ---------------------------------
+
+    def _room(self) -> int:
+        """Free journal slots: exact, since this owner is the only
+        appender and truncator."""
+        return self.journal.capacity - (self.journal.head - self.journal.tail)
+
+    def _make_room(self) -> None:
+        """One step towards a free journal slot: fold what is unfolded,
+        else wait for the collector and truncate what it has read."""
+        if self.fold_pos < self.journal.head:
+            self._take_snapshot()  # fold, freeing whatever was collected
+        else:
+            self._wait()  # folded but not yet collected: the collector lags
+            self._truncate()
+
+    def _take_snapshot(self) -> None:
+        self._check_fence()
+        head = self.journal.head
+        self.snapshot.write(
+            epoch=self.epoch, clock=self.clock, fold_pos=head,
+            cum_inserts=self.cum_inserts, cum_deletes=self.cum_deletes,
+            cum_empties=self.cum_empties,
+            stopped_mask=sum(1 << i for i, s in enumerate(self.stopped) if s),
+            watermarks=self.watermarks, labels=self.heap,
+        )
+        self.fold_pos = head
+        self._truncate()
+
+    def _truncate(self) -> None:
+        # Recycle only what is both folded and collected.
+        self.journal.truncate_to(min(self.fold_pos, self.journal.cursor()))
+
+    def _check_fence(self) -> None:
+        if self._fenced():
+            raise FencedOwnerError(
+                f"shard {self.shard} owner epoch {self.epoch} superseded by "
+                f"epoch {self.header.epoch()}"
+            )
+
+    def _publish(self) -> None:
+        heap = self.heap
+        self.header.publish(
+            top=heap[0] if heap else TOP_EMPTY,
+            size=len(heap),
+            heartbeat_ns=time.monotonic_ns(),
+        )
+
+    def _wait(self) -> None:
+        # Idle or backpressured: keep the heartbeat fresh so the wait
+        # is not mistaken for death — but a fenced zombie must not
+        # refresh a header it no longer owns, and an orphan must not
+        # spin forever.
+        self._check_fence()
+        if os.getppid() != self._parent:
+            raise SystemExit(
+                f"shard {self.shard} owner orphaned: parent {self._parent} exited"
+            )
+        self._publish()
+        self._sleep(self._poll_s)
+
+
 def run_shard_owner(
     segment_name: str, shard: int, poll_s: float = 0.0002, snapshot_every: int = 1024
 ) -> int:
     """Own one shard: drain request lanes into a heap, journal every op.
 
     Every applied request is journaled (commit = the op's linearization
-    point, and the collector's only source of events) *before* the heap
-    mutation and the request slot recycle, and the heap is snapshotted
-    every ``snapshot_every`` ops — so a successor can rebuild this
-    owner's exact state after a SIGKILL at any instruction.  A virgin
-    start is just recovery of the empty snapshot.  The owner re-checks
-    the header epoch at every commit point; observing a newer epoch
-    means a successor already took over, and the owner dies with
+    point, and the collector's only source of events) *before* its
+    request slot is recycled, and the heap is snapshotted every
+    ``snapshot_every`` ops — so a successor can rebuild this owner's
+    exact state after a SIGKILL at any instruction.  A virgin start is
+    just recovery of the empty snapshot.  The owner re-checks the header
+    epoch at every commit point; observing a newer epoch means a
+    successor already took over, and the owner dies with
     :class:`FencedOwnerError` without committing anything further.
 
-    Exits when every lane has sent ``OP_STOP``: journals ``J_BYE``,
-    waits until the collector has read the whole journal, and folds it
-    away.  Also exits (``SystemExit``) when its parent process is gone.
-    Publishes the header (top, size, heartbeat) after every sweep so
-    routers and liveness probes see fresh state.  Returns the residual
-    heap size.
+    Exits when every lane has sent ``OP_STOP`` (see
+    :meth:`ShardOwner.run`); also exits (``SystemExit``) when its parent
+    process is gone.  Returns the residual heap size.
     """
-    parent = os.getppid()
     segment = ServiceSegment.attach(segment_name)
     try:
-        header = segment.header(shard)
-        epoch = header.bump_epoch()
-        state = recover_shard_state(segment, shard)
-        lanes = [segment.request_ring(shard, lane) for lane in range(segment.lanes)]
-        for lane_id, ring in enumerate(lanes):
-            ring.recover()
-            # Recycle slots a predecessor applied (journaled) but died
-            # before recycling — including on lanes already stopped,
-            # which the drain loop below never visits again.
-            while ring.tail < state.watermarks[lane_id] and ring.try_peek() is not None:
-                ring.advance()
-        journal = segment.journal(shard)
-        journal.recover()
-        snapshot = segment.snapshot(shard)
-
-        heap = state.heap
-        stopped = state.stopped
-        watermarks = state.watermarks
-        clock = state.clock
-        cum_inserts = state.cum_inserts
-        cum_deletes = state.cum_deletes
-        cum_empties = state.cum_empties
-        fold_pos = journal.tail
-        since_snapshot = 0
-
-        def fenced() -> bool:
-            return header.epoch() != epoch
-
-        def check_fence() -> None:
-            if fenced():
-                raise FencedOwnerError(
-                    f"shard {shard} owner epoch {epoch} superseded by "
-                    f"epoch {header.epoch()}"
-                )
-
-        def publish() -> None:
-            header.publish(
-                top=heap[0] if heap else TOP_EMPTY,
-                size=len(heap),
-                heartbeat_ns=time.monotonic_ns(),
-            )
-
-        def wait() -> None:
-            # Idle or backpressured: keep the heartbeat fresh so the wait
-            # is not mistaken for death — but a fenced zombie must not
-            # refresh a header it no longer owns, and an orphan must not
-            # spin forever.
-            check_fence()
-            if os.getppid() != parent:
-                raise SystemExit(f"shard {shard} owner orphaned: parent {parent} exited")
-            publish()
-            time.sleep(poll_s)
-
-        def truncate() -> None:
-            # Recycle only what is both folded and collected.
-            journal.truncate_to(min(fold_pos, journal.cursor()))
-
-        def take_snapshot() -> None:
-            nonlocal fold_pos
-            check_fence()
-            snapshot.write(
-                epoch=epoch, clock=clock, fold_pos=journal.head,
-                cum_inserts=cum_inserts, cum_deletes=cum_deletes,
-                cum_empties=cum_empties,
-                stopped_mask=sum(1 << i for i, s in enumerate(stopped) if s),
-                watermarks=watermarks, labels=heap,
-            )
-            fold_pos = journal.head
-            truncate()
-
-        def journal_op(
-            ev: int, label: int, op_clock: int, t0_ns: int, lane_id: int, reqpos: int
-        ) -> None:
-            while not journal.try_append(
-                ev, label, op_clock, t0_ns, lane_id, reqpos, time.monotonic_ns(),
-                epoch, fence=fenced,
-            ):
-                if fold_pos < journal.head:
-                    take_snapshot()  # fold, freeing whatever was collected
-                else:
-                    wait()  # folded but not yet collected: the collector lags
-                    truncate()
-
-        # A successor first re-publishes ownership, then folds the
-        # replayed suffix: recovery is idempotent.
-        publish()
-        take_snapshot()
-
-        while not all(stopped):
-            check_fence()
-            processed = 0
-            for lane_id in range(segment.lanes):
-                if stopped[lane_id]:
-                    continue
-                ring = lanes[lane_id]
-                for _ in range(OWNER_BATCH):
-                    reqpos = ring.tail
-                    req = ring.try_peek()
-                    if req is None:
-                        break
-                    if reqpos < watermarks[lane_id]:
-                        # A predecessor journaled this request but died
-                        # before recycling the slot: already applied.
-                        ring.advance()
-                        continue
-                    op, label, req_clock, t0_ns, _ = req
-                    clock = max(clock, req_clock) + 1
-                    processed += 1
-                    since_snapshot += 1
-                    if op == OP_INSERT:
-                        journal_op(EV_INSERT, label, clock, t0_ns, lane_id, reqpos)
-                        heapq.heappush(heap, label)
-                        cum_inserts += 1
-                        watermarks[lane_id] = reqpos + 1
-                        ring.advance()
-                        publish()  # per-op: stale tops make two-choice herd
-                    elif op == OP_DELETE:
-                        if heap:
-                            journal_op(EV_DELETE, heap[0], clock, t0_ns, lane_id, reqpos)
-                            heapq.heappop(heap)
-                            cum_deletes += 1
-                            watermarks[lane_id] = reqpos + 1
-                            ring.advance()
-                            publish()
-                        else:
-                            journal_op(EV_EMPTY, -1, clock, t0_ns, lane_id, reqpos)
-                            cum_empties += 1
-                            watermarks[lane_id] = reqpos + 1
-                            ring.advance()
-                    elif op == OP_STOP:
-                        journal_op(J_STOP, 0, clock, t0_ns, lane_id, reqpos)
-                        stopped[lane_id] = True
-                        watermarks[lane_id] = reqpos + 1
-                        ring.advance()
-                        break
-                    if since_snapshot >= snapshot_every:
-                        take_snapshot()
-                        since_snapshot = 0
-            if processed:
-                publish()
-            else:
-                wait()
-        # Durable goodbye: the collector reads J_BYE last, then the whole
-        # journal folds away (nothing left pending).
-        journal_op(J_BYE, len(heap), clock + 1, 0, 0, 0)
-        while journal.cursor() < journal.head:
-            wait()
-        take_snapshot()
-        publish()
-        return len(heap)
+        return ShardOwner(segment, shard, poll_s, snapshot_every).run()
     finally:
         segment.close()
 

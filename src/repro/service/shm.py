@@ -33,6 +33,13 @@ routers can read two shard tops without locks, and carries a fencing
 ``epoch`` bumped by every new owner generation — journal entries
 stamped with a stale epoch are from a zombie predecessor and are fenced.
 
+**Run decoding.**  Consumers read a ring a *run* at a time
+(:meth:`SlotRing.read_run`, :meth:`JournalRing.read_run`): seq words
+first, then the committed prefix's payloads in one copy, checksummed by
+one vectorized fold.  The shard owner journals a drained chunk with one
+:meth:`JournalRing.append_run` (one fold, one strided payload store)
+that still commits entry by entry.
+
 **Durable shard state (journal + snapshot).**  Each shard owns a commit
 *journal* — a ring of applied operations under the same claim/commit
 protocol, each entry stamped with the owner's fencing epoch, the
@@ -57,7 +64,7 @@ import sys
 import time
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,8 +72,8 @@ import numpy as np
 #: intended-start and completion timestamps (monotonic ns), checksum.
 SLOT = struct.Struct("<QQqQqqQ")
 _SLOT_PAYLOAD = struct.Struct("<QqQqqQ")  # SLOT after its seq word
+_SLOT_WORDS = SLOT.size // 8
 _SEQ = struct.Struct("<Q")
-_FIELDS = struct.Struct("<qqq")  # header top, size, heartbeat ns
 
 
 def _store(buf, offset: int, data: bytes) -> None:
@@ -86,7 +93,8 @@ def _word_view(buf) -> memoryview:
     """``buf`` as native u64 words: ``view[offset >> 3] = value`` is one
     aligned 8-byte machine store.
 
-    Slot and epoch words are stored this way, never by slice.  glibc's
+    Slot seqs and every header word (epoch, seqlock, published fields)
+    are stored this way, never by slice.  glibc's
     ``memcpy`` copies 8 bytes as two overlapping 8-byte stores, and a
     slot ``seq`` has two writers taking turns: the producer commits it,
     the consumer recycles it.  A consumer preempted between its two
@@ -129,7 +137,6 @@ HEADER = struct.Struct("<QQqqq")
 #: intended-start ns, source lane, request-ring position the op came from,
 #: commit ns (taken just before the append), owner epoch, checksum.
 JSLOT = struct.Struct("<QQqQqQQqQQ")
-_JSLOT_PAYLOAD = struct.Struct("<QqQqQQqQQ")  # JSLOT after its seq word
 
 #: Snapshot buffer header: format version, owner epoch, Lamport clock,
 #: heap count, journal fold position, cumulative inserts/deletes/empties,
@@ -187,13 +194,23 @@ def journal_checksums(fields: np.ndarray) -> np.ndarray:
     two's-complement words.  uint64 arithmetic wraps mod 2**64, so one
     XOR-multiply per column over all rows is the scalar fold.
     """
-    h = np.full(fields.shape[0], 0x9E3779B97F4A7C15, dtype=np.uint64)
     prime = np.uint64(0x100000001B3)
-    for column in fields.T:
+    h = fields[:, 0] ^ np.uint64(0x9E3779B97F4A7C15)
+    h *= prime
+    for column in fields.T[1:]:
         h ^= column
         h *= prime
-    h[h == 0] = 1
-    return h
+    return np.maximum(h, 1, out=h)  # a zero fold reads 1, as ``or 1`` does
+
+
+def slot_checksums(fields: np.ndarray) -> np.ndarray:
+    """:func:`slot_checksum` of every row of a ``(k, 5)`` uint64 array.
+
+    Columns are the ``SLOT`` payload fields before the checksum (op,
+    label, clock, t0_ns, t1_ns).  Both folds are the same per-column
+    XOR-multiply, so this is :func:`journal_checksums` over five columns.
+    """
+    return journal_checksums(fields)
 
 
 _SNAP_SALT = 0xA5A5A5A55A5A5A5A
@@ -254,6 +271,42 @@ class RingAudit:
         return self.torn == 0
 
 
+_SEQ_PROBE = 256  # slots in read_run's first seq window
+
+
+def _copy_words(buf, offset: int, count: int, step: int = 1) -> np.ndarray:
+    """Every ``step``-th of ``count`` native u64 words at ``offset``, copied.
+
+    Each word is one aligned 8-byte load.  The temporary view over
+    ``buf`` dies here, so no array outlives the call holding the
+    segment's buffer exported (``SharedMemory.close`` would refuse).
+    """
+    view = np.frombuffer(buf, dtype=np.uint64, count=count, offset=offset)
+    return view[::step].copy()
+
+
+def _store_payloads(buf, offset: int, payloads: np.ndarray) -> None:
+    """Store ``payloads[i]`` in words ``1..`` of consecutive slots at ``offset``.
+
+    One strided store over ``len(payloads)`` slots of ``width + 1``
+    words each that never touches a slot's seq word (word 0).  The
+    temporary view dies here, as in :func:`_copy_words`.
+    """
+    count, width = payloads.shape
+    view = np.frombuffer(buf, dtype=np.uint64, count=count * (width + 1), offset=offset)
+    view.reshape(count, width + 1)[:, 1:] = payloads
+
+
+def _census(seqs: np.ndarray, capacity: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Masks of the slots whose seq reads free (``seq ≡ index``) and
+    committed (``seq ≡ index + 1``, mod ``capacity``); free wins a tie."""
+    index = np.arange(capacity, dtype=np.uint64)
+    phase = seqs % np.uint64(capacity)
+    free = phase == index
+    committed = ~free & (phase == (index + np.uint64(1)) % np.uint64(capacity))
+    return free, committed
+
+
 def _recover_positions(
     buf, offset: int, slot_size: int, capacity: int, max_scans: int = 64
 ) -> Tuple[int, int]:
@@ -270,61 +323,60 @@ def _recover_positions(
     the consumer tail past a committed slot and silently drop that
     request — so rescan.  Committed slots cannot revert while we (the
     recovering side) are not consuming, so one rescan normally settles.
+    Each scan reads every seq word in one strided copy.
     """
+    width = slot_size // 8
     for _ in range(max_scans):
-        free_positions: List[int] = []
-        committed_positions: List[int] = []
-        for i in range(capacity):
-            (seq,) = _SEQ.unpack_from(buf, offset + i * slot_size)
-            if (seq - i) % capacity == 0:
-                free_positions.append(seq)
-            elif (seq - i - 1) % capacity == 0:
-                committed_positions.append(seq - 1)
+        seqs = _copy_words(buf, offset, (capacity - 1) * width + 1, width)
+        free, committed = _census(seqs, capacity)
+        free_seqs = seqs[free]
+        committed_seqs = seqs[committed]  # positions + 1
         if (
-            free_positions
-            and committed_positions
-            and min(free_positions) <= max(committed_positions)
+            free_seqs.size
+            and committed_seqs.size
+            and int(free_seqs.min()) <= int(committed_seqs.max()) - 1
         ):
             time.sleep(0.0005)  # let the in-flight commit land
             continue  # torn scan: a producer committed mid-scan
-        if free_positions:
-            head = min(free_positions)
-        elif committed_positions:
-            head = min(committed_positions) + capacity
+        if free_seqs.size:
+            head = int(free_seqs.min())
+        elif committed_seqs.size:
+            head = int(committed_seqs.min()) - 1 + capacity
         else:
             head = 0
-        tail = min(committed_positions) if committed_positions else head
+        tail = int(committed_seqs.min()) - 1 if committed_seqs.size else head
         return head, tail
     raise TornSlotError(
         f"ring recover(): no consistent scan in {max_scans} attempts"
     )
 
 
-class SlotRing:
-    """A fixed-capacity SPSC ring over a shared-memory region.
+class _Ring:
+    """Positions, run decoding, recovery and audit of one SPSC slot ring.
 
     Producer and consumer positions are plain Python attributes — each
     side is a single process, and a restarted process recovers them from
-    the slot sequence numbers alone (:meth:`recover`).
+    the slot sequence numbers alone (:meth:`recover`).  A slot is
+    ``_LAYOUT``: its seq word first, its checksum word last, and
+    ``_checksums`` folds the payload words in between.
     """
 
-    def __init__(self, buf, offset: int, capacity: int, words) -> None:
+    _LAYOUT: struct.Struct
+    _WHAT: str  # how a TornSlotError names this ring's positions
+    _checksums: Callable[[np.ndarray], np.ndarray]
+
+    def __init__(self, buf, slots: int, capacity: int, words) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._buf = buf
         self._words = words  # _word_view(buf), or a test's stand-in
-        self._offset = offset
+        self._slots = slots  # byte offset of physical slot 0
         self.capacity = capacity
         self._head = 0  # next producer position
-        self._tail = 0  # next consumer position
-
-    @staticmethod
-    def region_size(capacity: int) -> int:
-        """Bytes one ring of ``capacity`` slots occupies."""
-        return capacity * SLOT.size
+        self._tail = 0  # next consumer (or lowest retained) position
 
     def _slot_offset(self, position: int) -> int:
-        return self._offset + (position % self.capacity) * SLOT.size
+        return self._slots + (position % self.capacity) * self._LAYOUT.size
 
     @property
     def head(self) -> int:
@@ -336,10 +388,106 @@ class SlotRing:
         """Next consumer position (absolute)."""
         return self._tail
 
+    def read_run(self, pos: int, limit: int) -> np.ndarray:
+        """Up to ``limit`` committed slots from absolute ``pos`` on.
+
+        Returns a ``(k, words)`` uint64 array of slot words in layout
+        column order (``run[:, 0] - 1`` are the positions; view it as
+        int64 for the signed fields).  The run stops at the first
+        uncommitted slot and at the ring end; the next call continues
+        from physical slot 0.  The seq words are read first: the one at
+        ``pos`` with a single load (so an idle ring costs no NumPy call),
+        then in windows of 256, 512, 1024, ... slots until one holds an
+        uncommitted slot.  Only the committed prefix's payloads are then
+        copied, in one slice copy, so every copied payload was complete
+        before its seq was seen committed, and an uncommitted slot's
+        partial payload is never checksummed.  One vectorized fold checks
+        every checksum; a bad one raises :class:`TornSlotError` naming its
+        absolute position.  Non-destructive: consumers advance or truncate
+        separately.
+        """
+        width = self._LAYOUT.size // 8
+        n = min(limit, self.capacity - pos % self.capacity)
+        off = self._slot_offset(pos)
+        if n <= 0 or _SEQ.unpack_from(self._buf, off)[0] != pos + 1:
+            return np.empty((0, width), dtype=np.uint64)  # one load when idle
+        # Probe the seqs in doubling windows, so a tailing reader touches
+        # 256 slots or about twice the committed prefix, not the whole ring.
+        k, window = 0, _SEQ_PROBE
+        while k < n:
+            m = min(window, n - k)
+            seqs = _copy_words(self._buf, off + k * self._LAYOUT.size, (m - 1) * width + 1, width)
+            committed = seqs == np.arange(pos + k + 1, pos + k + m + 1, dtype=np.uint64)
+            if not committed.all():
+                k += int(committed.argmin())
+                break
+            k += m
+            window *= 2
+        run = _copy_words(self._buf, off, k * width).reshape(k, width)
+        bad = self._checksums(run[:, 1:-1]) != run[:, -1]
+        if bad.any():
+            torn = pos + int(bad.argmax())
+            raise TornSlotError(
+                f"{self._WHAT} position {torn} committed with a bad checksum", torn
+            )
+        return run
+
+    def recover(self) -> None:
+        """Rederive producer/consumer positions from the slot sequences.
+
+        Used by a process attaching to a ring mid-life (e.g. a restarted
+        owner, or the post-kill auditor): free slots carry their future
+        producer position, committed slots carry ``position + 1``.  Safe
+        to run while the ring's producer is live (a respawned owner
+        recovers its request lanes under active loadgen traffic).
+        """
+        self._head, self._tail = _recover_positions(
+            self._buf, self._slots, self._LAYOUT.size, self.capacity
+        )
+
+    def audit(self) -> RingAudit:
+        """Census every slot; a nonzero ``torn`` count is a protocol breach.
+
+        A slot is torn if its seq residue is neither free nor committed,
+        or if it is committed with a bad checksum.
+        """
+        cap = self.capacity
+        width = self._LAYOUT.size // 8
+        seqs = _copy_words(self._buf, self._slots, (cap - 1) * width + 1, width)
+        free, committed_mask = _census(seqs, cap)
+        torn = cap - int(free.sum()) - int(committed_mask.sum())
+        # Each slot holds a distinct residue, so consecutive positions in
+        # sorted order are exactly what one read_run covers.
+        positions = [seq - 1 for seq in sorted(seqs[committed_mask].tolist())]
+        committed = k = 0
+        while k < len(positions):
+            try:
+                intact = len(self.read_run(positions[k], len(positions) - k))
+                bad = intact == 0  # the seq moved since the census
+            except TornSlotError as exc:
+                intact, bad = exc.pos - positions[k], True
+            committed += intact
+            torn += bad
+            k += intact + bad
+        return RingAudit(capacity=cap, committed=committed, free=int(free.sum()), torn=torn)
+
+
+class SlotRing(_Ring):
+    """A request lane: a fixed-capacity SPSC ring of ``SLOT`` slots."""
+
+    _LAYOUT = SLOT
+    _WHAT = "request slot"
+    _checksums = staticmethod(slot_checksums)
+
+    @staticmethod
+    def region_size(capacity: int) -> int:
+        """Bytes one ring of ``capacity`` slots occupies."""
+        return capacity * SLOT.size
+
     def initialize(self) -> None:
         """Format every slot as free (slot ``i`` gets ``seq = i``)."""
         for i in range(self.capacity):
-            SLOT.pack_into(self._buf, self._offset + i * SLOT.size, i, 0, 0, 0, 0, 0, 0)
+            SLOT.pack_into(self._buf, self._slot_offset(i), i, 0, 0, 0, 0, 0, 0)
 
     # -- producer side ---------------------------------------------------
 
@@ -391,47 +539,17 @@ class SlotRing:
             return None
         if checksum != slot_checksum(op, label, clock, t0_ns, t1_ns):
             raise TornSlotError(
-                f"slot at position {c} committed with a bad checksum (op={op})"
+                f"slot at position {c} committed with a bad checksum (op={op})", c
             )
         return op, label, clock, t0_ns, t1_ns
 
     def advance(self) -> None:
-        """Recycle the tail slot previously observed via :meth:`try_peek`."""
+        """Recycle the tail slot previously observed via :meth:`try_peek`
+        or :meth:`read_run`: one word store of its seq."""
         c = self._tail
-        self._words[self._slot_offset(c) >> 3] = c + self.capacity
+        cap = self.capacity
+        self._words[(self._slots >> 3) + c % cap * _SLOT_WORDS] = c + cap
         self._tail = c + 1
-
-    # -- crash recovery and audit ----------------------------------------
-
-    def recover(self) -> None:
-        """Rederive producer/consumer positions from the slot sequences.
-
-        Used by a process attaching to a ring mid-life (e.g. a restarted
-        owner, or the post-kill auditor): free slots carry their future
-        producer position, committed slots carry ``position + 1``.  Safe
-        to run while the ring's producer is live (a respawned owner
-        recovers its request lanes under active loadgen traffic).
-        """
-        self._head, self._tail = _recover_positions(
-            self._buf, self._offset, SLOT.size, self.capacity
-        )
-
-    def audit(self) -> RingAudit:
-        """Census every slot; a nonzero ``torn`` count is a protocol breach."""
-        committed = free = torn = 0
-        for i in range(self.capacity):
-            off = self._offset + i * SLOT.size
-            seq, op, label, clock, t0_ns, t1_ns, checksum = SLOT.unpack_from(self._buf, off)
-            if (seq - i) % self.capacity == 0:
-                free += 1
-            elif (seq - i - 1) % self.capacity == 0:
-                if checksum == slot_checksum(op, label, clock, t0_ns, t1_ns):
-                    committed += 1
-                else:
-                    torn += 1
-            else:
-                torn += 1
-        return RingAudit(capacity=self.capacity, committed=committed, free=free, torn=torn)
 
 
 class JournalEntry(NamedTuple):
@@ -451,18 +569,6 @@ class JournalEntry(NamedTuple):
 _CURSOR = struct.Struct("<Q")
 _JWORDS = JSLOT.size // 8  # u64 words per journal slot
 _SIGNED_JCOLS = (2, 4, 7)  # label, t0_ns, t1_ns: the signed JSLOT words
-_SEQ_PROBE = 256  # slots in read_run's first seq window
-
-
-def _copy_words(buf, offset: int, count: int, step: int = 1) -> np.ndarray:
-    """Every ``step``-th of ``count`` native u64 words at ``offset``, copied.
-
-    Each word is one aligned 8-byte load.  The temporary view over
-    ``buf`` dies here, so no array outlives the call holding the
-    segment's buffer exported (``SharedMemory.close`` would refuse).
-    """
-    view = np.frombuffer(buf, dtype=np.uint64, count=count, offset=offset)
-    return view[::step].copy()
 
 
 def _entries(run: np.ndarray) -> List[JournalEntry]:
@@ -477,7 +583,7 @@ def _entries(run: np.ndarray) -> List[JournalEntry]:
     ]
 
 
-class JournalRing:
+class JournalRing(_Ring):
     """The per-shard commit journal: an SPSC ring the owner appends to.
 
     Same claim/commit discipline as :class:`SlotRing`, but consumption is
@@ -493,30 +599,17 @@ class JournalRing:
     payload write but before the slot becomes visible.
     """
 
+    _LAYOUT = JSLOT
+    _WHAT = "journal"
+    _checksums = staticmethod(journal_checksums)
+
     def __init__(self, buf, offset: int, capacity: int, words) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self._buf = buf
-        self._words = words  # _word_view(buf), or a test's stand-in
+        super().__init__(buf, offset + _CURSOR.size, capacity, words)
         self._offset = offset  # the cursor word; slots follow it
-        self.capacity = capacity
-        self._head = 0  # next append position
-        self._tail = 0  # lowest retained (un-truncated) position
 
     @staticmethod
     def region_size(capacity: int) -> int:
         return _CURSOR.size + capacity * JSLOT.size
-
-    def _slot_offset(self, position: int) -> int:
-        return self._offset + _CURSOR.size + (position % self.capacity) * JSLOT.size
-
-    @property
-    def head(self) -> int:
-        return self._head
-
-    @property
-    def tail(self) -> int:
-        return self._tail
 
     def initialize(self) -> None:
         _CURSOR.pack_into(self._buf, self._offset, 0)
@@ -525,6 +618,57 @@ class JournalRing:
 
     # -- producer side ---------------------------------------------------
 
+    def append_run(self, fields: np.ndarray, fence=None, committed=None) -> bool:
+        """Append ``len(fields)`` entries from the head.  False = full.
+
+        ``fields`` is a ``(k, 8)`` uint64 array of payload fields in
+        ``JSLOT`` order (signed fields as two's-complement words), with
+        ``0 < k <= capacity``.  Every claimed slot must read free
+        (``seq == position``), or nothing is written and the append
+        returns False.  One vectorized fold computes the checksums and
+        one strided store writes all ``k`` payloads, never touching a
+        seq word.  Then, entry by entry: ``fence`` (if given) is called
+        before the commit store, and if it returns true the append
+        raises :class:`FencedOwnerError` with that entry and every later
+        one still free — a fenced zombie cannot commit even one more
+        entry; the commit is one word store of the seq; and
+        ``committed(i)`` (if given) runs once entry ``i`` is committed.
+        """
+        k = len(fields)
+        cap = self.capacity
+        if not 0 < k <= cap:
+            raise ValueError(f"append_run of {k} entries into a {cap}-slot journal")
+        p = self._head
+        first = min(k, cap - p % cap)  # entries before the ring end
+        pieces = [(p, fields[:first])]
+        if first < k:
+            pieces.append((p + first, fields[first:]))
+        for pos, rows in pieces:
+            seqs = _copy_words(
+                self._buf, self._slot_offset(pos), (len(rows) - 1) * _JWORDS + 1, _JWORDS
+            )
+            if seqs.tolist() != list(range(pos, pos + len(rows))):
+                return False
+        payloads = np.empty((k, _JWORDS - 1), dtype=np.uint64)
+        payloads[:, :-1] = fields
+        payloads[:, -1] = journal_checksums(fields)
+        for pos, rows in pieces:
+            start = pos - p
+            _store_payloads(self._buf, self._slot_offset(pos), payloads[start : start + len(rows)])
+        words = self._words
+        base = self._slots >> 3
+        for pos in range(p, p + k):
+            if fence is not None and fence():
+                raise FencedOwnerError(
+                    f"owner epoch {int(fields[pos - p, 7])} fenced before "
+                    f"committing journal pos {pos}"
+                )
+            words[base + pos % cap * _JWORDS] = pos + 1
+            self._head = pos + 1
+            if committed is not None:
+                committed(pos - p)
+        return True
+
     def try_append(
         self, op: int, label: int, clock: int, t0_ns: int,
         lane: int, reqpos: int, t1_ns: int, epoch: int,
@@ -532,27 +676,14 @@ class JournalRing:
     ) -> bool:
         """Claim, write payload, check ``fence``, commit.  False = full.
 
-        ``fence`` is called (if given) after the payload write and before
-        the commit store; if it returns true the append raises
-        :class:`FencedOwnerError` with the slot still free — a fenced
-        zombie cannot commit even one more entry.
+        :meth:`append_run` of one entry: ``fence`` is called (if given)
+        after the payload write and before the commit store, and if it
+        returns true the append raises :class:`FencedOwnerError` with the
+        slot still free.
         """
-        p = self._head
-        off = self._slot_offset(p)
-        (seq,) = _SEQ.unpack_from(self._buf, off)
-        if seq != p:
-            return False
-        _JSLOT_PAYLOAD.pack_into(
-            self._buf, off + 8, op, label, clock, t0_ns, lane, reqpos, t1_ns,
-            epoch, journal_checksum(op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch),
-        )
-        if fence is not None and fence():
-            raise FencedOwnerError(
-                f"owner epoch {epoch} fenced before committing journal pos {p}"
-            )
-        self._words[off >> 3] = p + 1
-        self._head = p + 1
-        return True
+        row = [op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch]
+        fields = np.array([[v & _MASK64 for v in row]], dtype=np.uint64)
+        return self.append_run(fields, fence)
 
     def truncate_to(self, new_tail: int) -> None:
         """Recycle every entry below ``new_tail``."""
@@ -560,55 +691,12 @@ class JournalRing:
             raise ValueError(
                 f"truncate_to({new_tail}) outside [{self._tail}, {self._head}]"
             )
+        words, base, cap = self._words, self._slots >> 3, self.capacity
         for c in range(self._tail, new_tail):
-            self._words[self._slot_offset(c) >> 3] = c + self.capacity
+            words[base + c % cap * _JWORDS] = c + cap
         self._tail = new_tail
 
     # -- reader side -----------------------------------------------------
-
-    def read_run(self, pos: int, limit: int) -> np.ndarray:
-        """Up to ``limit`` committed entries from absolute ``pos`` on.
-
-        Returns a ``(k, 10)`` uint64 array of slot words in ``JSLOT``
-        column order (``run[:, 0] - 1`` are the positions; view it as
-        int64 for the signed fields).  The run stops at the first
-        uncommitted slot and at the ring end; the next call continues
-        from physical slot 0.  The seq words are read first, in windows
-        of 256, 512, 1024, ... slots until one holds an uncommitted slot;
-        only the committed prefix's payloads are then copied, in one
-        slice copy, so every copied payload was complete before its seq
-        was seen committed, and an uncommitted slot's partial payload is
-        never checksummed.  One vectorized fold checks every checksum; a bad
-        one raises :class:`TornSlotError` naming its absolute position.
-        Non-destructive: the collector tails the journal with it and
-        :meth:`scan` and :meth:`audit` are built on it.
-        """
-        n = min(limit, self.capacity - pos % self.capacity)
-        if n <= 0:
-            return np.empty((0, _JWORDS), dtype=np.uint64)
-        off = self._slot_offset(pos)
-        # Probe the seqs in doubling windows, so a tailing reader touches
-        # 256 slots or about twice the committed prefix, not the whole ring.
-        k, width = 0, _SEQ_PROBE
-        while k < n:
-            m = min(width, n - k)
-            seqs = _copy_words(
-                self._buf, off + k * JSLOT.size, (m - 1) * _JWORDS + 1, _JWORDS
-            )
-            committed = seqs == np.arange(pos + k + 1, pos + k + m + 1, dtype=np.uint64)
-            if not committed.all():
-                k += int(committed.argmin())
-                break
-            k += m
-            width *= 2
-        run = _copy_words(self._buf, off, k * _JWORDS).reshape(k, _JWORDS)
-        bad = journal_checksums(run[:, 1:9]) != run[:, 9]
-        if bad.any():
-            torn = pos + int(bad.argmax())
-            raise TornSlotError(
-                f"journal position {torn} committed with a bad checksum", torn
-            )
-        return run
 
     def cursor(self) -> int:
         """First position the collector has not read yet."""
@@ -619,7 +707,7 @@ class JournalRing:
         """Publish the collector's progress (the collector is the only writer)."""
         _store(self._buf, self._offset, _CURSOR.pack(pos))
 
-    # -- recovery / audit -------------------------------------------------
+    # -- recovery ---------------------------------------------------------
 
     def scan(self) -> List[JournalEntry]:
         """All committed entries in ``[tail, head)``, non-destructively."""
@@ -634,39 +722,6 @@ class JournalRing:
             out.extend(_entries(run))
             pos += len(run)
         return out
-
-    def recover(self) -> None:
-        """Rederive head/tail from slot sequences (same scheme as SlotRing)."""
-        self._head, self._tail = _recover_positions(
-            self._buf, self._offset + _CURSOR.size, JSLOT.size, self.capacity
-        )
-
-    def audit(self) -> RingAudit:
-        cap = self.capacity
-        seqs = _copy_words(self._buf, self._slot_offset(0), cap * _JWORDS, _JWORDS)
-        free = torn = committed = 0
-        positions = []  # of the slots whose seq residue reads committed
-        for i, seq in enumerate(seqs.tolist()):
-            if (seq - i) % cap == 0:
-                free += 1
-            elif (seq - i - 1) % cap == 0:
-                positions.append(seq - 1)
-            else:
-                torn += 1
-        # Each slot holds a distinct residue, so consecutive positions in
-        # sorted order are exactly what one read_run covers.
-        positions.sort()
-        k = 0
-        while k < len(positions):
-            try:
-                intact = len(self.read_run(positions[k], len(positions) - k))
-                bad = intact == 0  # the seq moved since the census
-            except TornSlotError as exc:
-                intact, bad = exc.pos - positions[k], True
-            committed += intact
-            torn += bad
-            k += intact + bad
-        return RingAudit(capacity=cap, committed=committed, free=free, torn=torn)
 
 
 class SnapshotState(NamedTuple):
@@ -834,20 +889,29 @@ class ShardHeader:
         self._words[self._offset >> 3] = epoch + 1
         return epoch + 1
 
+    def fence(self, epoch: int):
+        """A callable that is true once the header epoch is no longer
+        ``epoch``: one word load per call."""
+        words, index = self._words, self._offset >> 3
+        return lambda: words[index] != epoch
+
     def publish(self, top: int, size: int, heartbeat_ns: int) -> None:
         """Seqlock write: odd seq while the fields are in flight.
 
-        ``| 1`` (rather than ``+ 1``) absorbs a predecessor that died
+        A word load of the seqlock, then five whole-word stores.  ``| 1``
+        (rather than ``+ 1``) absorbs a predecessor that died
         mid-publish and left the seqlock odd: blindly incrementing would
         invert the parity convention for the rest of the shard's life,
         sending every read down the stale-fallback path.
         """
-        off = self._offset
-        (seqlock,) = _SEQ.unpack_from(self._buf, off + 8)
-        writing = seqlock | 1
-        _store(self._buf, off + 8, _SEQ.pack(writing))  # odd: writing
-        _store(self._buf, off + 16, _FIELDS.pack(top, size, heartbeat_ns))
-        _store(self._buf, off + 8, _SEQ.pack(writing + 1))  # even: stable
+        words = self._words
+        seqlock = (self._offset >> 3) + 1
+        writing = words[seqlock] | 1
+        words[seqlock] = writing  # odd: writing
+        words[seqlock + 1] = top & _MASK64
+        words[seqlock + 2] = size
+        words[seqlock + 3] = heartbeat_ns & _MASK64
+        words[seqlock] = writing + 1  # even: stable
 
     # -- reader side -----------------------------------------------------
 

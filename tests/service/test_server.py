@@ -1,5 +1,7 @@
 """Router policies, shard-owner loop, and small end-to-end service runs."""
 
+import heapq
+import itertools
 import multiprocessing
 import os
 import signal
@@ -19,6 +21,7 @@ from repro.service.server import (
     EventCollector,
     Router,
     ServiceCluster,
+    ShardOwner,
     _stop_owners,
     recover_shard_state,
     run_service,
@@ -590,13 +593,17 @@ class TestColumnarCollector:
         reason="the owners must inherit the patched checksum",
     )
     def test_run_service_raises_a_collector_failure(self, monkeypatch):
-        real = shm.journal_checksum
+        real = shm.journal_checksums
+        parent = os.getpid()
 
-        def corrupt_deletes(op, *fields):
-            return real(op, *fields) ^ (op == EV_DELETE)
+        def corrupt_deletes(fields):
+            sums = real(fields)
+            if os.getpid() != parent:  # an owner journaling, not the collector checking
+                sums ^= (fields[:, 0] == EV_DELETE).astype(np.uint64)
+            return sums
 
         # Owners are forked, so they journal every delete with a bad checksum.
-        monkeypatch.setattr(shm, "journal_checksum", corrupt_deletes)
+        monkeypatch.setattr(shm, "journal_checksums", corrupt_deletes)
         spec = ScheduleSpec(mode="poisson", ops=400, prefill=64, rate=0.0, seed=13)
         started = time.monotonic()
         with pytest.raises(RuntimeError, match=r"event collector failed on shard \d") as info:
@@ -604,6 +611,291 @@ class TestColumnarCollector:
         assert isinstance(info.value.__cause__, TornSlotError)
         assert f"position {info.value.__cause__.pos} " in str(info.value)
         assert time.monotonic() - started < 20.0  # owners were not waited out
+
+
+class _ReferenceOwner(ShardOwner):
+    """The per-op lane loop :class:`ShardOwner` ran before chunked
+    drains: one request at a time through ``try_peek``, ``try_append``,
+    ``advance`` and ``publish``.  The executable spec of the chunked
+    owner; boot, snapshots and waits are the shared ones.
+
+    Two of its snapshots differ from the chunked owner's, and neither
+    changes what a successor recovers: it skips the snapshot check after
+    an ``OP_STOP``, so a STOP that reaches ``snapshot_every`` is folded
+    one op later; and it advances its Lamport clock before it finds the
+    journal full, so a snapshot taken to make room records the pending
+    op's clock (replay takes the max with the journal's clocks anyway).
+    """
+
+    def _journal_op(self, ev, label, op_clock, t0_ns, lane_id, reqpos):
+        while not self.journal.try_append(
+            ev, label, op_clock, t0_ns, lane_id, reqpos, time.monotonic_ns(),
+            self.epoch, fence=self._fenced,
+        ):
+            self._make_room()
+
+    def _drain_lane(self, lane_id):
+        ring = self.lanes[lane_id]
+        processed = 0
+        for _ in range(OWNER_BATCH):
+            reqpos = ring.tail
+            req = ring.try_peek()
+            if req is None:
+                break
+            if reqpos < self.watermarks[lane_id]:
+                ring.advance()  # applied by a predecessor that died before recycling
+                continue
+            op, label, req_clock, t0_ns, _ = req
+            self.clock = max(self.clock, req_clock) + 1
+            processed += 1
+            self.since_snapshot += 1
+            if op == OP_INSERT:
+                self._journal_op(EV_INSERT, label, self.clock, t0_ns, lane_id, reqpos)
+                heapq.heappush(self.heap, label)
+                self.cum_inserts += 1
+                self.watermarks[lane_id] = reqpos + 1
+                ring.advance()
+                self._publish()
+            elif op == OP_DELETE and self.heap:
+                self._journal_op(EV_DELETE, self.heap[0], self.clock, t0_ns, lane_id, reqpos)
+                heapq.heappop(self.heap)
+                self.cum_deletes += 1
+                self.watermarks[lane_id] = reqpos + 1
+                ring.advance()
+                self._publish()
+            elif op == OP_DELETE:
+                self._journal_op(EV_EMPTY, -1, self.clock, t0_ns, lane_id, reqpos)
+                self.cum_empties += 1
+                self.watermarks[lane_id] = reqpos + 1
+                ring.advance()
+            elif op == OP_STOP:
+                self._journal_op(J_STOP, 0, self.clock, t0_ns, lane_id, reqpos)
+                self.stopped[lane_id] = True
+                self.watermarks[lane_id] = reqpos + 1
+                ring.advance()
+                break
+            if self.since_snapshot >= self.snapshot_every:
+                self._take_snapshot()
+                self.since_snapshot = 0
+        return processed
+
+
+class _RecordingWords:
+    """A segment's word view that logs every store and can run a hook after one."""
+
+    def __init__(self, view):
+        self.view = view
+        self.stores = []
+        self.after_store = None
+
+    def __getitem__(self, index):
+        return self.view[index]
+
+    def __setitem__(self, index, value):
+        self.view[index] = value
+        self.stores.append((index, value))
+        if self.after_store is not None:
+            self.after_store(index, value)
+
+    def release(self):
+        self.view.release()
+
+
+@pytest.fixture
+def recorded():
+    """A one-shard, three-lane segment whose word stores are logged."""
+    segments = []
+
+    def make(journal_capacity=32):
+        seg = ServiceSegment.create(
+            shards=1, lanes=3, req_capacity=16,
+            journal_capacity=journal_capacity, state_capacity=64,
+        )
+        seg._words = _RecordingWords(seg._words)
+        segments.append(seg)
+        return seg
+
+    yield make
+    for seg in segments:
+        seg.close()
+        seg.unlink()
+
+
+def _run_script(seg, owner_cls, script, snapshot_every=1024, lagging=False):
+    """Drive an ``owner_cls`` owner of ``seg``'s shard through ``script``.
+
+    A step is ``(lane, op, label)`` (a push), ``"sweep"``, or a callable
+    taking the owner.  The collector reads the journal after every sweep,
+    or, when ``lagging``, only while the owner waits.  At the end every
+    lane is stopped and the owner runs to its goodbye.  Returns the
+    journal rows (slot words without ``t1_ns`` and
+    its checksum), every snapshot written, the request
+    slots recycled, the ``(top, size)`` publishes, and the whole word
+    store log with heartbeats blanked.
+    """
+    journal = seg.journal(0)
+    rows, snapshots = [], []
+
+    def collect():
+        while len(run := journal.read_run(journal.cursor(), journal.capacity)):
+            rows.extend(np.delete(run.view(np.int64), [7, 9], axis=1).tolist())  # t1 and its checksum
+            journal.set_cursor(journal.cursor() + len(run))
+
+    write = shm.ShardSnapshot.write
+
+    def record(self, **state):
+        snapshots.append(dict(state, watermarks=list(state["watermarks"]), labels=list(state["labels"])))
+        write(self, **state)
+
+    producers = [seg.request_ring(0, lane) for lane in range(seg.lanes)]
+    stamp = itertools.count(1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shm.ShardSnapshot, "write", record)
+        owner = owner_cls(seg, 0, snapshot_every=snapshot_every, sleep=lambda _s: collect())
+        for step in script:
+            if step == "sweep":
+                owner.sweep()
+                if not lagging:
+                    collect()
+            elif callable(step):
+                step(owner)
+            else:
+                lane, op, label = step
+                clock = next(stamp)
+                assert producers[lane].try_push(op, label, clock, 1000 + clock, 0)
+        for lane, ring in enumerate(producers):
+            if not owner.stopped[lane]:
+                assert ring.try_push(OP_STOP, 0, next(stamp), 0, 0)
+        assert owner.run() == len(owner.heap)
+        collect()
+
+    header = seg.header(0)._offset >> 3
+    lane_slots = {}
+    for lane in range(seg.lanes):
+        base = seg.request_ring(0, lane)._slots >> 3
+        lane_slots.update({base + s * (shm.SLOT.size // 8): (lane, s) for s in range(16)})
+    log = [(i, None if i == header + 4 else v) for i, v in seg._words.stores]
+    recycles = [
+        (lane_slots[i][0], v - 16) for i, v in log
+        if i in lane_slots and v % 16 == lane_slots[i][1]  # a commit stores p + 1
+    ]
+    tops = [v for i, v in log if i == header + 2]
+    sizes = [v for i, v in log if i == header + 3]
+    return SimpleNamespace(
+        rows=rows, snapshots=snapshots, recycles=recycles,
+        publishes=list(zip(tops, sizes)), log=log, state=recover_shard_state(seg, 0),
+    )
+
+
+def _pushes(lane, *ops):
+    return [(lane, op, label) for op, label in ops]
+
+
+I, D, S = OP_INSERT, OP_DELETE, OP_STOP
+
+#: Scripts with what they exercise; every one ends with all lanes stopped.
+_SCRIPTS = {
+    # Inserts, deletes and EV_EMPTY on two lanes, then a STOP in the
+    # middle of lane 1's run: the insert pushed after it is never applied.
+    "mixed-and-mid-chunk-stop": (
+        _pushes(0, (I, 50), (I, 30), (D, -1), (I, 70), (D, -1), (D, -1), (D, -1))
+        + _pushes(1, (I, 20), (I, 10), (D, -1))
+        + ["sweep"]
+        + _pushes(1, (I, 40), (S, 0), (I, 99))
+        + _pushes(0, (I, 5), (D, -1))
+        + ["sweep", "sweep"]
+    ),
+    # Slots below a lane's watermark (journaled by a predecessor that died
+    # before recycling them) are recycled, never applied.
+    "below-the-watermark": (
+        _pushes(0, (I, 8), (I, 6), (I, 4), (D, -1))
+        + [lambda owner: owner.watermarks.__setitem__(0, 2), "sweep"]
+        + _pushes(2, (I, 3), (D, -1))
+        + ["sweep"]
+    ),
+}
+
+
+class TestChunkedOwner:
+    """:class:`ShardOwner` against the per-op loop it replaced, over
+    scripted lanes, plus the fence between two commits of one chunk."""
+
+    def _compare(self, recorded, script, snapshot_every=1024, journal_capacity=32, lagging=False):
+        ref = _run_script(recorded(journal_capacity), _ReferenceOwner, script, snapshot_every, lagging)
+        got = _run_script(recorded(journal_capacity), ShardOwner, script, snapshot_every, lagging)
+        assert got.rows == ref.rows
+        assert got.recycles == ref.recycles
+        assert got.publishes == ref.publishes
+        assert got.log == ref.log
+        assert got.state == ref.state
+        return got, ref
+
+    @pytest.mark.parametrize("name", sorted(_SCRIPTS))
+    def test_matches_the_per_op_reference(self, recorded, name):
+        got, ref = self._compare(recorded, _SCRIPTS[name])
+        assert got.snapshots == ref.snapshots
+        assert {row[1] for row in got.rows} >= {EV_INSERT, EV_DELETE, J_STOP, J_BYE}
+
+    def test_mid_chunk_stop_and_empty_deletes(self, recorded):
+        got, _ = self._compare(recorded, _SCRIPTS["mixed-and-mid-chunk-stop"])
+        ops = [row[1] for row in got.rows]
+        assert ops.count(EV_EMPTY) == 1 and ops.count(J_STOP) == 3
+        assert 99 not in [row[2] for row in got.rows]  # pushed after its lane's STOP
+
+    def test_below_the_watermark_is_recycled_unapplied(self, recorded):
+        got, _ = self._compare(recorded, _SCRIPTS["below-the-watermark"])
+        assert [row[2] for row in got.rows if row[5] == 0][:2] == [4, 4]  # insert 4, delete 4
+        assert got.recycles[:2] == [(0, 0), (0, 1)]
+
+    def test_chunks_are_cut_at_the_snapshot_boundary(self, recorded):
+        # 12 ops, then the three STOPs stay clear of the next boundary.
+        script = (
+            _pushes(0, *[(I, 100 - i) for i in range(7)], (D, -1), (D, -1))
+            + _pushes(1, (I, 7), (D, -1), (D, -1))
+            + ["sweep"]
+        )
+        got, ref = self._compare(recorded, script, snapshot_every=4)
+        assert got.snapshots == ref.snapshots
+        folds = [s["fold_pos"] for s in got.snapshots]
+        assert folds == [0, 4, 8, 12, 16]  # boot, every 4 ops (two mid-lane), after BYE
+
+    def test_a_full_journal_waits_for_a_lagging_collector(self, recorded):
+        script = _pushes(0, *[(I, 50 + i) for i in range(12)], (D, -1)) + ["sweep"]
+        got, ref = self._compare(recorded, script, journal_capacity=8, lagging=True)
+        # Room-making snapshots differ in clock only (see _ReferenceOwner).
+        assert [dict(s, clock=0) for s in got.snapshots] == [dict(s, clock=0) for s in ref.snapshots]
+        assert got.snapshots[-1] == ref.snapshots[-1]
+        assert len(got.rows) == 12 + 1 + 3 + 1  # ops, STOPs, BYE
+
+    @pytest.mark.parametrize("i", [0, 2, 5])
+    def test_an_epoch_bump_between_commits_fences_the_rest_of_the_chunk(self, recorded, i):
+        seg = recorded()
+        owner = ShardOwner(seg, 0, sleep=lambda _s: None)
+        producer = seg.request_ring(0, 0)
+        for label in range(10, 16):  # one chunk of six inserts
+            assert producer.try_push(OP_INSERT, label, 1, 0, 0)
+        words = seg._words
+        seqlock = (seg.header(0)._offset >> 3) + 1
+        published, bumped_at = [], []
+
+        def bump_after_publish_i(index, value):
+            if index == seqlock and value % 2 == 0:
+                published.append(value)
+                if len(published) == i + 1:
+                    words.view[seqlock - 1] += 1  # a successor's epoch
+                    bumped_at.append(len(words.stores))
+
+        words.after_store = bump_after_publish_i
+        with pytest.raises(FencedOwnerError):
+            owner.sweep()
+        journal = seg.journal(0)
+        journal.recover()
+        assert [e.label for e in journal.scan()] == list(range(10, 11 + i))
+        assert journal.audit().free == journal.capacity - (i + 1)  # the rest stay free
+        assert producer.audit().committed == 6 - (i + 1)  # and their requests pending
+        header_words = range(seqlock - 1, seqlock + 4)
+        assert not [s for s in words.stores[bumped_at[0]:] if s[0] in header_words]
+        assert seg.header(0).read()[1:3] == (10, i + 1)  # the last publish is op i's
 
 
 def _proc_gone(pid):

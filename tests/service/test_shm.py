@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.service import shm
 from repro.service.shm import (
     EV_DELETE,
     EV_INSERT,
@@ -17,6 +18,7 @@ from repro.service.shm import (
     JournalRing,
     OP_DELETE,
     OP_INSERT,
+    RingAudit,
     SLOT,
     ServiceSegment,
     ShardHeader,
@@ -26,6 +28,7 @@ from repro.service.shm import (
     journal_checksum,
     journal_checksums,
     slot_checksum,
+    slot_checksums,
 )
 
 
@@ -732,6 +735,128 @@ class TestChecksumFolds:
         ).reshape(len(rows), 8)
         assert journal_checksums(fields).tolist() == [journal_checksum(*row) for row in rows]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_unsigned, _signed, _unsigned, _signed, _signed), max_size=20))
+    def test_vectorized_slot_fold_matches_scalar(self, rows):
+        fields = np.array(
+            [[v & _MASK64 for v in row] for row in rows], dtype=np.uint64
+        ).reshape(len(rows), 5)
+        assert slot_checksums(fields).tolist() == [slot_checksum(*row) for row in rows]
+
+
+# -- run decoding, position recovery and audit against scalar references -----
+
+
+def _scalar_recover_positions(buf, offset, slot_size, capacity):
+    """The per-slot census ``_recover_positions`` ran before it read the
+    seqs in one strided copy (one scan; the rescan rule is unchanged)."""
+    free_positions, committed_positions = [], []
+    for i in range(capacity):
+        (seq,) = struct.unpack_from("<Q", buf, offset + i * slot_size)
+        if (seq - i) % capacity == 0:
+            free_positions.append(seq)
+        elif (seq - i - 1) % capacity == 0:
+            committed_positions.append(seq - 1)
+    if free_positions and committed_positions:
+        assert min(free_positions) > max(committed_positions)  # a consistent ring
+    if free_positions:
+        head = min(free_positions)
+    elif committed_positions:
+        head = min(committed_positions) + capacity
+    else:
+        head = 0
+    return head, min(committed_positions) if committed_positions else head
+
+
+def _scalar_audit(ring):
+    """The per-slot census ``SlotRing.audit`` ran before the run decoder."""
+    committed = free = torn = 0
+    for i in range(ring.capacity):
+        seq, op, label, clock, t0_ns, t1_ns, checksum = SLOT.unpack_from(
+            ring._buf, ring._slot_offset(i)
+        )
+        if (seq - i) % ring.capacity == 0:
+            free += 1
+        elif (seq - i - 1) % ring.capacity == 0:
+            if checksum == slot_checksum(op, label, clock, t0_ns, t1_ns):
+                committed += 1
+            else:
+                torn += 1
+        else:
+            torn += 1
+    return RingAudit(capacity=ring.capacity, committed=committed, free=free, torn=torn)
+
+
+def _random_ring(rng, cap, laps):
+    """A request ring of ``cap`` slots after a random run of pushes and
+    pops: empty, partial, wrapped or full.  Returns it and its true
+    ``(head, tail)``."""
+    buf = bytearray(SlotRing.region_size(cap))
+    ring = SlotRing(buf, 0, cap, memoryview(buf).cast("Q"))
+    ring.initialize()
+    consumed = int(rng.integers(0, laps * cap + 1))
+    pending = int(rng.choice([0, cap, rng.integers(0, cap + 1)]))
+    for k in range(consumed + pending):
+        assert ring.try_push(OP_INSERT, k, k, -k, k)
+        if k < consumed:
+            assert ring.try_pop()[1] == k
+    return ring, (consumed + pending, consumed)
+
+
+class TestVectorizedRings:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_recover_matches_the_scalar_census(self, seed):
+        rng = np.random.default_rng(seed)
+        cap = int(rng.choice([2, 3, 5, 8, 16]))
+        ring, truth = _random_ring(rng, cap, laps=3)
+        got = shm._recover_positions(ring._buf, 0, SLOT.size, cap)
+        assert got == _scalar_recover_positions(ring._buf, 0, SLOT.size, cap) == truth
+        journal_buf = bytearray(JournalRing.region_size(cap))
+        journal = JournalRing(journal_buf, 0, cap, memoryview(journal_buf).cast("Q"))
+        journal.initialize()
+        appended = int(rng.integers(0, 3 * cap))
+        for k in range(appended):
+            full = journal.head - journal.tail == cap
+            if full or rng.random() < 0.3:
+                journal.truncate_to(int(rng.integers(journal.tail + full, journal.head + 1)))
+            assert journal.try_append(EV_INSERT, k, k, 0, 0, k, 0, 1)
+        slots = journal._slot_offset(0)
+        assert shm._recover_positions(journal_buf, slots, JSLOT.size, cap) == (
+            _scalar_recover_positions(journal_buf, slots, JSLOT.size, cap)
+        ) == (journal.head, journal.tail)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_audit_matches_the_scalar_census(self, seed):
+        rng = np.random.default_rng(seed)
+        cap = int(rng.choice([2, 3, 5, 8, 16]))
+        ring, _ = _random_ring(rng, cap, laps=2)
+        for _ in range(int(rng.integers(0, 3))):  # tear payloads and seqs at random
+            off = ring._slot_offset(int(rng.integers(0, cap)))
+            ring._buf[off + int(rng.choice([0, 16, 48]))] ^= 0x5A
+        assert ring.audit() == _scalar_audit(ring)
+
+    def test_read_run_decodes_the_committed_prefix_up_to_the_ring_end(self):
+        cap = 8
+        buf = bytearray(SlotRing.region_size(cap))
+        ring = SlotRing(buf, 0, cap, memoryview(buf).cast("Q"))
+        ring.initialize()
+        for k in range(6):
+            assert ring.try_push(OP_INSERT, k, k, -k, k)
+        for _ in range(6):
+            ring.advance()
+        for k in range(6, 11):  # positions 6..10 straddle the ring end
+            assert ring.try_push(OP_DELETE, -k, k, -k, k)
+        first = ring.read_run(6, 64)
+        assert first.view(np.int64)[:, :6].tolist() == [
+            [k + 1, OP_DELETE, -k, k, -k, k] for k in (6, 7)
+        ]
+        assert ring.read_run(8, 2)[:, 0].tolist() == [9, 10]  # limit honoured
+        assert len(ring.read_run(11, 64)) == 0  # nothing committed there
+        buf[ring._slot_offset(9) + 16] ^= 0xFF  # label of position 9
+        with pytest.raises(TornSlotError, match="position 9 ") as info:
+            ring.read_run(8, 64)
+        assert info.value.pos == 9
+
 
 # -- single-store seq and epoch words ----------------------------------------
 
@@ -756,6 +881,9 @@ class _LoggedWords:
         self._view = memoryview(buf).cast("Q")
         self.stores = []
 
+    def __getitem__(self, index):
+        return self._view[index]
+
     def __setitem__(self, index, value):
         self.stores.append((index, value))
         self._view[index] = value
@@ -766,7 +894,7 @@ def _word(buf, offset):
 
 
 class TestSingleStoreWords:
-    """After ``initialize``, every change to a slot ``seq`` or header epoch
+    """After ``initialize``, every change to a slot ``seq`` or header
     word arrives as one 8-byte word store: never ``pack_into`` (it
     zero-fills first, so a racing reader could read the word as 0) and
     never a slice store (``memcpy`` may store the word twice, and a late
@@ -818,7 +946,8 @@ class TestSingleStoreWords:
         words = _LoggedWords(buf)
         header = ShardHeader(buf, 0, words)
         header.initialize()
+        offsets = list(range(0, ShardHeader.region_size(), 8))  # epoch, seqlock, fields
         for k in range(3):
-            self._check(buf, words, [0], header.bump_epoch)
-            self._check(buf, words, [0], lambda: header.publish(k, k, k + 1))
+            self._check(buf, words, offsets, header.bump_epoch)
+            self._check(buf, words, offsets, lambda: header.publish(k, k, k + 1))
         assert header.read() == (3, 2, 2, 3)
