@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
+from repro.analysis.stats import ks_2sample
 from repro.concurrent.multiqueue import ConcurrentMultiQueue
 from repro.concurrent.recorder import OpRecorder
 from repro.core.process import SequentialProcess
@@ -54,16 +53,6 @@ class DistributionalComparisonReport:
         )
 
 
-def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov–Smirnov statistic (no scipy dependency)."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    support = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, support, side="right") / len(a)
-    cdf_b = np.searchsorted(b, support, side="right") / len(b)
-    return float(np.abs(cdf_a - cdf_b).max())
-
-
 def compare_rank_distributions(
     concurrent: RankTrace, sequential: RankTrace
 ) -> DistributionalComparisonReport:
@@ -75,7 +64,7 @@ def compare_rank_distributions(
         sequential_mean=sequential.mean_rank(),
         concurrent_p99=concurrent.quantile(0.99),
         sequential_p99=sequential.quantile(0.99),
-        ks_statistic=_ks_distance(concurrent.ranks, sequential.ranks),
+        ks_statistic=ks_2sample(concurrent.ranks, sequential.ranks)[0],
         n_concurrent=len(concurrent),
         n_sequential=len(sequential),
     )

@@ -7,21 +7,20 @@ the recorder exactly at their linearization points (under the lock / at
 the winning CAS), so the recorded history *is* the linearization, with
 no probe effect.
 
-Offline, :meth:`OpRecorder.rank_trace` replays the history against a
-Fenwick presence tree over the elements sorted by priority, producing
-the exact rank paid by every removal — the same cost notion as the
-sequential process.
+Offline, :meth:`OpRecorder.rank_trace` replays the history over the
+elements sorted by priority, producing the exact rank paid by every
+removal — the same cost notion as the sequential process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
+from repro.core.rank import offline_ranks
 from repro.core.records import RankTrace
-from repro.utils.fenwick import FenwickTree
 
 
 class HistoryError(ValueError):
@@ -125,24 +124,21 @@ class OpRecorder:
     def rank_trace(self) -> RankTrace:
         """Exact rank paid by each removal, replaying the history.
 
-        Elements are globally ordered by ``(priority, eid)``; a Fenwick
-        tree tracks presence; each ``del`` event pays the prefix count at
-        its position.  Events are processed in recorded order, which is
-        the models' linearization order (time ties are already resolved
-        by the engine's deterministic scheduling).
+        Elements are globally ordered by ``(priority, eid)``; each
+        ``del`` event pays the count of present elements at or before
+        its position (:func:`~repro.core.rank.offline_ranks`).  Events
+        are processed in recorded order, which is the models'
+        linearization order (time ties are already resolved by the
+        engine's deterministic scheduling).
         """
         order = sorted(range(len(self._priorities)), key=lambda e: (self._priorities[e], e))
-        position = {eid: idx for idx, eid in enumerate(order)}
-        tree = FenwickTree(max(len(order), 1))
-        trace = RankTrace()
-        for event in self._events:
-            pos = position[event.eid]
-            if event.kind == "ins":
-                tree.add(pos, 1)
-            else:
-                trace.append(tree.prefix_sum(pos))
-                tree.add(pos, -1)
-        return trace
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order))
+        n = len(self._events)
+        kinds = np.fromiter((1 if e.kind == "ins" else -1 for e in self._events), np.int64, n)
+        eids = np.fromiter((e.eid for e in self._events), np.int64, n)
+        ranks = offline_ranks(kinds, position[eids], max(len(order), 1))
+        return RankTrace(ranks.tolist())
 
     def inversion_count(self) -> int:
         """Number of removal *inversions*: ordered pairs of removals

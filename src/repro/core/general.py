@@ -11,7 +11,7 @@ rule, and every removal pays its exact present-rank.
 
 The planned priority sequence is fixed up front, which lets rank
 accounting stay O(log M): positions in the globally sorted order are
-precomputed and tracked in a Fenwick tree.
+precomputed and tracked in a :class:`~repro.core.rank.RankOracle`.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.policies import RemovalChooser
+from repro.core.policies import RemovalChooser, insert_cuts
+from repro.core.rank import RankOracle
 from repro.core.records import RankTrace, RemovalRecord
 from repro.pqueues import BinaryHeap
-from repro.utils.fenwick import FenwickTree
 from repro.utils.rngtools import SeedLike, as_generator
 
 
@@ -68,16 +68,16 @@ class GeneralPriorityProcess:
                 raise ValueError(
                     f"insert_probs has length {len(probs)}, expected {n_queues}"
                 )
-            self._cum_probs: Optional[np.ndarray] = np.cumsum(probs)
+            self._cuts: Optional[np.ndarray] = insert_cuts(probs)
         else:
-            self._cum_probs = None
+            self._cuts = None
         self._priorities = list(priorities)
         # Global sorted position of each arrival index, ties by index.
         order = sorted(range(len(self._priorities)), key=lambda k: (self._priorities[k], k))
         self._position = [0] * len(order)
         for pos, idx in enumerate(order):
             self._position[idx] = pos
-        self._tree = FenwickTree(len(self._priorities))
+        self._oracle = RankOracle(len(self._priorities))
         self._queues: List[BinaryHeap] = [BinaryHeap() for _ in range(n_queues)]
         self._next_index = 0
         self._removal_step = 0
@@ -88,7 +88,7 @@ class GeneralPriorityProcess:
     @property
     def present_count(self) -> int:
         """Elements currently in the system."""
-        return self._tree.total
+        return self._oracle.present_count
 
     @property
     def inserted(self) -> int:
@@ -112,14 +112,14 @@ class GeneralPriorityProcess:
             raise RuntimeError("priority sequence exhausted")
         idx = self._next_index
         self._next_index += 1
-        if self._cum_probs is None:
+        if self._cuts is None:
             q = int(self._rng.integers(self.n_queues))
         else:
-            q = int(np.searchsorted(self._cum_probs[:-1], self._rng.random(), side="right"))
+            q = int(np.searchsorted(self._cuts, self._rng.random(), side="right"))
         # Heap entries are (priority, arrival index); heap stability is
         # irrelevant because the pair is already unique and ordered.
         self._queues[q].push((self._priorities[idx], idx), idx)
-        self._tree.add(self._position[idx], 1)
+        self._oracle.insert(self._position[idx])
         return q
 
     def prefill(self, m: int) -> None:
@@ -129,7 +129,7 @@ class GeneralPriorityProcess:
 
     def remove(self) -> RemovalRecord:
         """One (1+beta) removal; cost = exact rank among present."""
-        if self._tree.total == 0:
+        if self._oracle.present_count == 0:
             raise LookupError("remove from empty process")
         queues = self._queues
         while True:
@@ -154,9 +154,7 @@ class GeneralPriorityProcess:
             break
         entry = queues[chosen].pop()
         arrival_idx = entry.item
-        pos = self._position[arrival_idx]
-        rank = self._tree.prefix_sum(pos)
-        self._tree.add(pos, -1)
+        rank = self._oracle.remove(self._position[arrival_idx])
         record = RemovalRecord(
             step=self._removal_step,
             label=arrival_idx,

@@ -22,6 +22,7 @@ from typing import Any, Callable, List, Optional
 
 import numpy as np
 
+from repro.core.policies import insert_cuts
 from repro.pqueues import BinaryHeap, Entry, PriorityQueue, QueueEmptyError
 from repro.utils.rngtools import SeedLike, as_generator
 
@@ -86,9 +87,9 @@ class MultiQueue:
                 )
             if not np.isclose(probs.sum(), 1.0):
                 raise ValueError(f"insert_probs must sum to 1, got {probs.sum()}")
-            self._cum_probs: Optional[np.ndarray] = np.cumsum(probs)
+            self._cuts: Optional[np.ndarray] = insert_cuts(probs)
         else:
-            self._cum_probs = None
+            self._cuts = None
 
     # -- properties ------------------------------------------------------
 
@@ -205,9 +206,9 @@ class MultiQueue:
     # -- internals ---------------------------------------------------------
 
     def _choose_insert_queue(self) -> int:
-        if self._cum_probs is None:
+        if self._cuts is None:
             return int(self._rng.integers(len(self._queues)))
-        return int(np.searchsorted(self._cum_probs[:-1], self._rng.random(), side="right"))
+        return int(np.searchsorted(self._cuts, self._rng.random(), side="right"))
 
     def _better_of(self, i: int, j: int) -> Optional[int]:
         """Index (of ``i``/``j``) with the smaller top; ``None`` if both empty."""

@@ -26,6 +26,22 @@ def uniform_insert_probs(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
+def insert_cuts(insert_probs: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Searchable cuts of an insertion law, or ``None`` for uniform.
+
+    Queue ``np.searchsorted(cuts, u, side="right")`` receives a label
+    when the uniform draw is ``u``.  The cumulative sum's last cut is
+    dropped: rounding can leave it just below 1 (``0.9999999999999984``
+    for ``biased_insert_probs(100, 0.5)``), and ``Generator.random()``
+    can return ``nextafter(1, 0)``, which a search over every cut would
+    send to queue ``n``, one past the last.  Without it every draw at or
+    above the second-to-last cut lands in the last queue.
+    """
+    if insert_probs is None:
+        return None
+    return np.cumsum(insert_probs)[:-1]
+
+
 def biased_insert_probs(
     n: int,
     gamma: float,
@@ -172,12 +188,3 @@ class RemovalChooser:
             return False, i, None
         j = int(rng.integers(self.n))
         return True, i, j
-
-    def choose_insert_queue(self, pi: Optional[np.ndarray]) -> int:
-        """Sample a queue index from the insertion distribution ``pi``.
-
-        ``pi=None`` means uniform (avoids the cost of a weighted draw).
-        """
-        if pi is None:
-            return int(self._rng.integers(self.n))
-        return int(self._rng.choice(self.n, p=pi))

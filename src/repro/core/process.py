@@ -19,7 +19,7 @@ from typing import Deque, List, Optional
 
 import numpy as np
 
-from repro.core.policies import RemovalChooser, uniform_insert_probs
+from repro.core.policies import RemovalChooser, insert_cuts, uniform_insert_probs
 from repro.core.rank import RankOracle
 from repro.core.records import RankTrace, RemovalRecord, SampledRun
 from repro.utils.rngtools import SeedLike, as_generator
@@ -77,10 +77,10 @@ class SequentialProcess:
                 raise ValueError(
                     f"insert_probs has length {len(probs)}, expected {n_queues}"
                 )
-            self._cum_probs: Optional[np.ndarray] = np.cumsum(probs)
+            self._cuts: Optional[np.ndarray] = insert_cuts(probs)
             self.insert_probs = probs
         else:
-            self._cum_probs = None
+            self._cuts = None
             self.insert_probs = uniform_insert_probs(n_queues)
         self._queues: List[Deque[int]] = [deque() for _ in range(n_queues)]
         self._oracle = RankOracle(capacity)
@@ -148,9 +148,9 @@ class SequentialProcess:
     def _choose_insert_queue(self, label: int) -> int:
         """Random pi-distributed choice; subclasses may override (e.g.
         round-robin uses ``label % n``)."""
-        if self._cum_probs is None:
+        if self._cuts is None:
             return int(self._rng.integers(self.n_queues))
-        return int(np.searchsorted(self._cum_probs[:-1], self._rng.random(), side="right"))
+        return int(np.searchsorted(self._cuts, self._rng.random(), side="right"))
 
     def prefill(self, m: int) -> None:
         """Insert ``m`` consecutive labels (the paper's initial buffer)."""

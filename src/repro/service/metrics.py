@@ -3,22 +3,21 @@
 Latency honors coordinated omission: each event carries the *intended*
 start time stamped by the open-loop schedule, so a stalled owner is
 charged for everything that queued behind it.  Rank quality replays the
-event stream against a Fenwick-tree snapshot oracle: events are merged
-across shards by their Lamport clocks (ties broken by shard id, a fixed
-linearization), and every sampled delete is scored by the global rank
+event stream offline (:func:`repro.core.rank.offline_ranks`): events are
+merged across shards by their Lamport clocks (ties broken by shard id, a
+fixed linearization), and every sampled delete is scored by the global rank
 of the removed label among all labels present at that point — the same
 1-based rank-cost convention as the simulator.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.stats import rank_summary
-from repro.core.rank import RankOracle
+from repro.core.rank import RankOracle, offline_ranks
 from repro.service.loadgen import ArrivalSchedule
 from repro.service.shm import EV_DELETE, EV_EMPTY, EV_INSERT, ServiceSegment
 
@@ -107,60 +106,13 @@ def replay_ranks(
     global set — rank 1 is the true minimum, exactly the simulator's
     accounting.  All events are replayed (the oracle must see every
     insert); only sampled deletes are scored, keeping the replay cheap
-    at millions of ops.
+    at millions of ops.  The counting is
+    :func:`repro.core.rank.offline_ranks` over the merged stream's event
+    and label columns.
     """
-    if sample_every <= 0:
-        raise ValueError(f"sample_every must be positive, got {sample_every}")
-    if merged.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
     ev = merged[:, 1]
-    lab = merged[:, 2]
-    acted = (ev == EV_INSERT) | (ev == EV_DELETE)
-    if acted.any():
-        bad = lab[acted]
-        if int(bad.min()) < 0 or int(bad.max()) >= label_universe:
-            raise ValueError(
-                f"label outside label universe [0, {label_universe}); "
-                "size the replay to the total number of inserts"
-            )
-    # The rank paid by a delete at stream position t removing label L is
-    #   #{inserts before t with label <= L} - #{deletes before t with label <= L}
-    # (1-based: L's own insert is counted, L itself is not yet deleted).
-    # That is an offline dominance count: give inserts weight +1 and
-    # deletes weight -1, then each query is a weighted prefix count over
-    # (position < t, label <= L).  Sqrt-decomposed over positions: a
-    # cheap per-label running total answers the "all chunks before t's"
-    # part via one cumsum per chunk, and the query's own chunk is small
-    # enough for a dense broadcast comparison.
-    is_insert = ev == EV_INSERT
-    is_delete = ev == EV_DELETE
-    w = is_insert.astype(np.int64) - is_delete
-    del_pos = np.flatnonzero(is_delete)
-    qpos_all = del_pos[::sample_every]
-    qlab_all = lab[qpos_all]
-    total = merged.shape[0]
-    chunk = max(512, int(math.sqrt(32.0 * label_universe)))
-    counts = np.zeros(label_universe, dtype=np.int64)
-    out = np.empty(qpos_all.size, dtype=np.int64)
-    qi = 0
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        hi = int(np.searchsorted(qpos_all, stop, side="left"))
-        if hi > qi:
-            prefix = np.cumsum(counts)  # labels folded from chunks before `start`
-            qpos = qpos_all[qi:hi]
-            qlab = qlab_all[qi:hi]
-            cpos = np.arange(start, stop)
-            clab = lab[start:stop]
-            mask = (cpos[None, :] < qpos[:, None]) & (clab[None, :] <= qlab[:, None])
-            out[qi:hi] = (
-                prefix[qlab]
-                + np.count_nonzero(mask & is_insert[None, start:stop], axis=1)
-                - np.count_nonzero(mask & is_delete[None, start:stop], axis=1)
-            )
-            qi = hi
-        np.add.at(counts, lab[start:stop][acted[start:stop]], w[start:stop][acted[start:stop]])
-    return out
+    kinds = (ev == EV_INSERT).astype(np.int64) - (ev == EV_DELETE)
+    return offline_ranks(kinds, merged[:, 2], label_universe, sample_every)
 
 
 def replay_ranks_reference(
@@ -324,37 +276,3 @@ def conservation_audit(
         "residual_total": sum(row["residual"] for row in shard_rows),
         "shards": shard_rows,
     }
-
-
-def ranks_after(
-    merged: np.ndarray,
-    label_universe: int,
-    after_t1_ns: int,
-) -> np.ndarray:
-    """Rank paid by every delete *completed after* ``after_t1_ns``.
-
-    The post-recovery convergence probe: the oracle replays the whole
-    stream (ranks depend on all prior state) but only deletes whose
-    completion timestamp falls after the last takeover are scored, so
-    the sample measures the recovered cluster, not the outage.
-    """
-    oracle = RankOracle(label_universe)
-    ranks: List[int] = []
-    for row in merged:
-        ev, label = int(row[1]), int(row[2])
-        if ev == EV_INSERT:
-            oracle.insert(label)
-        elif ev == EV_DELETE:
-            rank = oracle.remove(label)
-            if int(row[5]) > after_t1_ns:
-                ranks.append(rank)
-    return np.asarray(ranks, dtype=np.int64)
-
-
-def sampled_rank_values(
-    events_by_shard: Sequence[Events],
-    schedule: ArrivalSchedule,
-    sample_every: int = 16,
-) -> np.ndarray:
-    """Raw sampled rank costs (for KS comparison against the simulator)."""
-    return replay_ranks(merge_events(events_by_shard), schedule.label_universe, sample_every)

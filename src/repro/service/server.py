@@ -1052,12 +1052,15 @@ def run_service(
                 # Post-recovery convergence: score only deletes completed
                 # after the last takeover against the exact stationary law.
                 from repro.analysis.exact import oracle_row
-                from repro.service.metrics import merge_events, ranks_after
+                from repro.service.metrics import merge_events, replay_ranks
 
+                # Ranks depend on all prior state, so the whole stream is
+                # replayed; only deletes completed after the takeover count.
                 merged = merge_events(collector.events_by_shard)
-                recovered_ranks = ranks_after(
-                    merged, schedule.label_universe, last_recovered
-                )
+                done_ns = merged[merged[:, 1] == EV_DELETE, 5]
+                recovered_ranks = replay_ranks(merged, schedule.label_universe, 1)[
+                    done_ns > last_recovered
+                ]
                 block = {"after_ns": last_recovered, "n_ranks": int(recovered_ranks.size)}
                 if recovered_ranks.size:
                     block.update(oracle_row(shards, beta, recovered_ranks, gamma=gamma))

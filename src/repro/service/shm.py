@@ -997,6 +997,14 @@ class ServiceSegment:
             raise ValueError(
                 f"at most 64 lanes (snapshot stopped_mask is one u64), got {lanes}"
             )
+        if req_capacity < 2 or journal_capacity < 2:
+            # In a 1-slot ring a free slot (seq == index mod 1) and a
+            # committed one (seq == index + 1 mod 1) read the same, so
+            # recover() could not tell a pending entry from a free slot.
+            raise ValueError(
+                f"ring capacities must be at least 2, got req_capacity={req_capacity}, "
+                f"journal_capacity={journal_capacity}"
+            )
         geometry = dict(
             shards=shards, lanes=lanes, req_capacity=req_capacity,
             journal_capacity=journal_capacity, state_capacity=state_capacity,

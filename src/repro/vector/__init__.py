@@ -10,10 +10,7 @@ merely equal in distribution.
 from repro.vector.ballsbins import batched_two_choice_loads, coupled_virtual_loads_vector
 from repro.vector.chooser import ArrayChoiceSource, BatchedChooser, ReferenceMirror
 from repro.vector.engine import EMPTY, VectorProcessBase
-from repro.vector.exponential import (
-    VectorExponentialProcess,
-    VectorExponentialTopProcess,
-)
+from repro.vector.exponential import VectorExponentialTopProcess
 from repro.vector.index import BatchedRankIndex
 from repro.vector.labelled import (
     VectorDChoiceProcess,
@@ -46,7 +43,6 @@ __all__ = [
     "BatchedRankIndex",
     "ReferenceMirror",
     "VectorDChoiceProcess",
-    "VectorExponentialProcess",
     "VectorExponentialTopProcess",
     "VectorPotentialSeries",
     "VectorProcessBase",

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.policies import RemovalChooser
+from repro.core.policies import RemovalChooser, insert_cuts
 from repro.utils.rngtools import SeedLike, as_generator
 
 Draws = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -59,7 +59,7 @@ class BatchedChooser:
         self.replicas = replicas
         self._rng = as_generator(rng)
         self._chunk = chunk
-        self._cum = None if insert_probs is None else np.cumsum(insert_probs)
+        self._cuts = insert_cuts(insert_probs)
         self._ptr = chunk  # force refill on first use
         self._iptr = chunk
         self._two = np.empty((chunk, replicas), dtype=bool)
@@ -109,14 +109,10 @@ class BatchedChooser:
 
     def _refill_inserts(self) -> None:
         shape = (self._chunk, self.replicas)
-        if self._cum is None:
+        if self._cuts is None:
             self._ins = self._rng.integers(self.n, size=shape)
         else:
-            # Search all but the last cut: a draw at or above cum[-1]
-            # (which rounding can leave just below 1) is the last queue.
-            self._ins = np.searchsorted(
-                self._cum[:-1], self._rng.random(shape), side="right"
-            )
+            self._ins = np.searchsorted(self._cuts, self._rng.random(shape), side="right")
         self._iptr = 0
 
     def insert_queues(self) -> np.ndarray:
@@ -256,16 +252,16 @@ class ReferenceMirror:
         self.replicas = len(seeds)
         self._gens: List[np.random.Generator] = [as_generator(s) for s in seeds]
         self._choosers = [RemovalChooser(n, beta, g) for g in self._gens]
-        self._cum = None if insert_probs is None else np.cumsum(insert_probs)
+        self._cuts = insert_cuts(insert_probs)
 
     def insert_queues(self) -> np.ndarray:
         out = np.empty(self.replicas, dtype=np.int64)
-        if self._cum is None:
+        if self._cuts is None:
             for r, gen in enumerate(self._gens):
                 out[r] = gen.integers(self.n)
         else:
             for r, gen in enumerate(self._gens):
-                out[r] = np.searchsorted(self._cum[:-1], gen.random(), side="right")
+                out[r] = np.searchsorted(self._cuts, gen.random(), side="right")
         return out
 
     def removal_draws(self) -> Draws:

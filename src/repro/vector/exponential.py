@@ -1,28 +1,13 @@
-"""Replica-batched exponential process (Section 4 / Theorems 2 and 3).
+"""Replica-batched exponential process (Section 4 / Theorem 3).
 
-Two batched analogues of :mod:`repro.core.exponential`:
-
-* :class:`VectorExponentialProcess` — generates ``m`` labels per replica
-  as per-bin ``Exp(1/pi_i)`` renewal streams and then drains them with
-  the (1+beta) kernel over global *ranks* (the Theorem 2 device: once
-  ranks are assigned, only they matter — and rank order equals value
-  order, so the integer-label removal kernel of the engine applies
-  unchanged).
-* :class:`VectorExponentialTopProcess` — the infinite-supply weight-only
-  process of Theorem 3 batched over replicas: an ``(R, n)`` top-weight
-  matrix advanced one (1+beta) removal per replica per step.
-
-Generation is exact, not approximate: each bin's renewal stream is
-extended until its frontier provably exceeds the ``m``-th smallest
-candidate value, so the selected prefix is the true first ``m`` arrivals
-of the superposed process.  (Unused renewals beyond the threshold are
-simply discarded; streams are independent, so no conditioning is
-introduced.)
+:class:`VectorExponentialTopProcess` is the infinite-supply weight-only
+process of Theorem 3 (:class:`~repro.core.exponential.ExponentialTopProcess`)
+batched over replicas: an ``(R, n)`` top-weight matrix advanced one
+(1+beta) removal per replica per step.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -30,115 +15,8 @@ import numpy as np
 from repro.core.policies import uniform_insert_probs
 from repro.utils.rngtools import SeedLike, as_generator
 from repro.vector.chooser import BatchedChooser
-from repro.vector.engine import VectorProcessBase
 from repro.vector.records import VectorPotentialSeries
 from repro.vector.stats import batched_potentials
-
-
-def _validated_probs(n_queues: int, insert_probs) -> np.ndarray:
-    if insert_probs is None:
-        return uniform_insert_probs(n_queues)
-    probs = np.asarray(insert_probs, dtype=float)
-    if len(probs) != n_queues:
-        raise ValueError(
-            f"insert_probs has length {len(probs)}, expected {n_queues}"
-        )
-    return probs
-
-
-class VectorExponentialProcess(VectorProcessBase):
-    """Finite-horizon batched exponential process with rank accounting.
-
-    ``generate(m)`` realizes the renewal streams of all replicas at once
-    and lays the resulting global ranks ``0..m-1`` into the queue
-    engine; :meth:`run_drain` (inherited) then pays exact rank costs.
-    One generation batch per process instance.
-    """
-
-    def __init__(
-        self,
-        n_queues: int,
-        capacity: int,
-        replicas: int,
-        beta: float = 1.0,
-        insert_probs: Optional[np.ndarray] = None,
-        rng: SeedLike = None,
-        source=None,
-    ) -> None:
-        self._probs = _validated_probs(n_queues, insert_probs)
-        self._means = 1.0 / self._probs
-        gen = as_generator(rng)
-        self._gen_rng = gen
-        if source is None:
-            source = BatchedChooser(n_queues, beta, replicas, rng=gen)
-        super().__init__(n_queues, capacity, replicas, source)
-        self.beta = beta
-        self._generated = 0
-        self._assign: Optional[np.ndarray] = None
-
-    @property
-    def generated(self) -> int:
-        """Labels generated so far (per replica)."""
-        return self._generated
-
-    def generate(self, m: int) -> None:
-        """Generate the first ``m`` arrivals of every replica's process."""
-        if m < 0:
-            raise ValueError(f"m must be non-negative, got {m}")
-        if self._generated:
-            raise RuntimeError(
-                "the vector exponential process generates a single batch"
-            )
-        if m > self.capacity:
-            raise RuntimeError(
-                f"capacity {self.capacity} exhausted; size the process larger"
-            )
-        if m == 0:
-            return
-        rng = self._gen_rng
-        replicas, n = self.replicas, self.n_queues
-        # Initial stream length: enough for the busiest bin in
-        # expectation plus a 6-sigma margin; extended below if short.
-        max_p = float(self._probs.max())
-        length = int(math.ceil(m * max_p + 6.0 * math.sqrt(m * max_p) + 16.0))
-        scale = self._means[None, :, None]
-        cums = rng.exponential(scale, size=(replicas, n, length)).cumsum(axis=2)
-        while True:
-            threshold = np.partition(cums.reshape(replicas, -1), m - 1, axis=1)[
-                :, m - 1
-            ]
-            frontier = cums[:, :, -1]
-            if not (frontier < threshold[:, None]).any():
-                break
-            ext_len = max(16, cums.shape[2] // 2)
-            ext = rng.exponential(scale, size=(replicas, n, ext_len))
-            cums = np.concatenate(
-                [cums, ext.cumsum(axis=2) + frontier[:, :, None]], axis=2
-            )
-        order = np.argsort(cums.reshape(replicas, -1), axis=1, kind="stable")[:, :m]
-        assign = (order // cums.shape[2]).astype(np.int64)
-        self._assign = assign
-        self._alloc_from_assignment(assign)
-        self._index.bulk_fill(m)
-        self._generated = m
-
-    def bin_assignment(self) -> np.ndarray:
-        """``(R, m)`` map from each global rank to its bin.
-
-        Theorem 2 predicts the entries are i.i.d. ``pi`` draws within
-        each replica.  Only meaningful before removals.
-        """
-        if self._assign is None:
-            raise RuntimeError("nothing generated yet")
-        if self._removal_steps:
-            raise RuntimeError("bin_assignment called after removals")
-        return self._assign.copy()
-
-    def __repr__(self) -> str:
-        return (
-            f"VectorExponentialProcess(n={self.n_queues}, beta={self.beta}, "
-            f"replicas={self.replicas}, present={self.present_count})"
-        )
 
 
 class VectorExponentialTopProcess:
@@ -166,7 +44,13 @@ class VectorExponentialTopProcess:
         self.n_queues = n_queues
         self.replicas = replicas
         self.beta = beta
-        self._probs = _validated_probs(n_queues, insert_probs)
+        if insert_probs is None:
+            insert_probs = uniform_insert_probs(n_queues)
+        self._probs = np.asarray(insert_probs, dtype=float)
+        if len(self._probs) != n_queues:
+            raise ValueError(
+                f"insert_probs has length {len(self._probs)}, expected {n_queues}"
+            )
         self._means = 1.0 / self._probs
         gen = as_generator(rng)
         self._rng = gen

@@ -9,6 +9,7 @@ from repro.core.policies import (
     RemovalChooser,
     biased_insert_probs,
     effective_gamma,
+    insert_cuts,
     removal_rank_probabilities,
     uniform_insert_probs,
 )
@@ -123,19 +124,29 @@ class TestRemovalChooser:
         b = [RemovalChooser(8, 0.5, rng=9).draw() for _ in range(1)]
         assert a == b
 
-    def test_choose_insert_queue_uniform_and_weighted(self):
-        chooser = RemovalChooser(4, 1.0, rng=2)
-        idx = chooser.choose_insert_queue(None)
-        assert 0 <= idx < 4
-        # Degenerate distribution pins the choice.
-        pi = np.array([0.0, 0.0, 1.0, 0.0])
-        assert chooser.choose_insert_queue(pi) == 2
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RemovalChooser(0, 0.5)
         with pytest.raises(ValueError):
             RemovalChooser(4, -0.1)
+
+
+class TestInsertCuts:
+    def test_uniform_has_no_cuts(self):
+        assert insert_cuts(None) is None
+
+    def test_degenerate_law_pins_the_queue(self):
+        cuts = insert_cuts(np.array([0.0, 0.0, 1.0, 0.0]))
+        assert cuts.size == 3
+        draws = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+        assert np.searchsorted(cuts, draws, side="right").tolist() == [2, 2, 2]
+
+    def test_frequencies_follow_the_law(self):
+        pi = biased_insert_probs(8, 0.5)
+        u = np.random.default_rng(0).random(80_000)
+        queues = np.searchsorted(insert_cuts(pi), u, side="right")
+        assert queues.max() == 7
+        np.testing.assert_allclose(np.bincount(queues, minlength=8) / u.size, pi, atol=0.01)
 
 
 @settings(max_examples=30, deadline=None)

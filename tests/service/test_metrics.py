@@ -8,8 +8,13 @@ cross-shard Lamport-clock ties and EV_EMPTY noise.
 import numpy as np
 import pytest
 
+from repro.analysis.exact import oracle_row
+from repro.core.rank import RankOracle
+from repro.service import metrics
+from repro.service.loadgen import ScheduleSpec
 from repro.service.metrics import merge_events, replay_ranks, replay_ranks_reference
 from repro.service.shm import EV_DELETE, EV_EMPTY, EV_INSERT
+from repro.service.supervisor import ChaosSpec, run_chaos_service
 
 
 def merge_events_reference(events_by_shard):
@@ -127,3 +132,47 @@ class TestReplayRanks:
         ]
         ranks = replay_ranks(merge_events(events), 3, sample_every=1)
         assert ranks.tolist() == [1, 2]
+
+
+def ranks_after_reference(merged, label_universe, after_t1_ns):
+    """The per-event loop that scored post-recovery deletes before
+    ``run_service`` reused ``replay_ranks``: the rank of every delete
+    completed after ``after_t1_ns``, replaying the whole stream."""
+    oracle = RankOracle(label_universe)
+    ranks = []
+    for row in merged:
+        ev, label = int(row[1]), int(row[2])
+        if ev == EV_INSERT:
+            oracle.insert(label)
+        elif ev == EV_DELETE:
+            rank = oracle.remove(label)
+            if int(row[5]) > after_t1_ns:
+                ranks.append(rank)
+    return np.asarray(ranks, dtype=np.int64)
+
+
+class TestPostRecoveryRanks:
+    def test_block_matches_the_old_per_event_loop(self, monkeypatch):
+        # Record the merged stream of a supervised run with one kill,
+        # then score it the old way at the run's own takeover time.
+        recorded = {}
+        summarize = metrics.summarize
+
+        def recording(events_by_shard, schedule, *args, **kwargs):
+            recorded["merged"] = merge_events(events_by_shard)
+            recorded["universe"] = schedule.label_universe
+            return summarize(events_by_shard, schedule, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "summarize", recording)
+        res = run_chaos_service(
+            shards=2, workers=1,
+            spec=ScheduleSpec(ops=4000, prefill=256, rate=2000.0, seed=4),
+            chaos=ChaosSpec(kills=1, zombies=0, seed=4, start_s=0.2, window_s=0.3),
+            beta=1.0, seed=4,
+        )
+        post = res["post_recovery"]
+        want = ranks_after_reference(recorded["merged"], recorded["universe"], post["after_ns"])
+        assert want.size > 0
+        expected = {"after_ns": post["after_ns"], "n_ranks": int(want.size)}
+        expected.update(oracle_row(2, 1.0, want, gamma=0.0))
+        assert post == expected

@@ -222,6 +222,32 @@ def test_racing_reader_never_sees_zero_fill(segment, write, intact):
 
 
 class TestServiceSegment:
+    @pytest.mark.parametrize(
+        "req_capacity, journal_capacity", [(1, 16), (8, 1), (0, 16), (8, 0)]
+    )
+    def test_rejects_ring_capacities_below_two(self, req_capacity, journal_capacity):
+        with pytest.raises(ValueError, match="at least 2"):
+            ServiceSegment.create(
+                shards=1, lanes=1, req_capacity=req_capacity,
+                journal_capacity=journal_capacity,
+            )
+
+    def test_two_slot_lane_recovers_its_pending_request(self):
+        seg = ServiceSegment.create(shards=1, lanes=1, req_capacity=2, journal_capacity=2)
+        try:
+            producer = seg.request_ring(0, 0)
+            assert producer.try_push(OP_INSERT, 5)
+            assert producer.try_pop()[1] == 5
+            assert producer.try_push(OP_INSERT, 6)  # pending at a crash
+            recovered = seg.request_ring(0, 0)
+            recovered.recover()
+            assert (recovered.head, recovered.tail) == (2, 1)
+            assert recovered.try_pop()[1] == 6
+            assert recovered.try_pop() is None
+        finally:
+            seg.close()
+            seg.unlink()
+
     def test_attach_sees_creator_geometry_and_data(self, segment):
         segment.request_ring(1, 2).try_push(OP_INSERT, 314)
         other = ServiceSegment.attach(segment.name)

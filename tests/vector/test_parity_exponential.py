@@ -1,86 +1,15 @@
-"""Parity: vector exponential process vs the reference (Theorem 2 side).
+"""Parity: the batched weight-only exponential process vs the reference.
 
-The exponential generation uses rectangular renewal arrays instead of
-the reference's heap merge, so traces are *not* RNG-coupled — parity
-here is distributional: the bin-assignment law (i.i.d. ``pi``), the
-rank law under (1+beta) removals, and the Theorem 2 equivalence with the
-labelled process.
+The batched process draws its choices and increments from its own
+streams, so traces are *not* RNG-coupled — parity here is
+distributional: the time-averaged Theorem 3 potential of both.
 """
 
 import numpy as np
-import pytest
 
-from repro.analysis.stats import ks_2sample
-from repro.core.exponential import ExponentialProcess, ExponentialTopProcess
+from repro.core.exponential import ExponentialTopProcess
 from repro.core.potential import recommended_alpha
-from repro.vector.exponential import (
-    VectorExponentialProcess,
-    VectorExponentialTopProcess,
-)
-from repro.vector.labelled import VectorSequentialProcess
-from repro.vector.sweep import _ks_sample
-
-
-class TestGeneration:
-    def test_bin_assignment_is_iid_pi(self):
-        # Pooled across replicas, bin counts must match the multinomial
-        # law within a loose chi-square-style tolerance.
-        n, m, replicas = 8, 2000, 16
-        pi = np.asarray([0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05])
-        proc = VectorExponentialProcess(
-            n, m, replicas, beta=1.0, insert_probs=pi, rng=2
-        )
-        proc.generate(m)
-        assign = proc.bin_assignment()
-        assert assign.shape == (replicas, m)
-        freq = np.bincount(assign.reshape(-1), minlength=n) / (m * replicas)
-        np.testing.assert_allclose(freq, pi, atol=0.01)
-
-    def test_uniform_assignment_frequencies(self):
-        n, m, replicas = 16, 4000, 8
-        proc = VectorExponentialProcess(n, m, replicas, rng=3)
-        proc.generate(m)
-        freq = np.bincount(proc.bin_assignment().reshape(-1), minlength=n)
-        np.testing.assert_allclose(freq / (m * replicas), np.full(n, 1 / n), atol=0.01)
-
-    def test_single_generation_only(self):
-        proc = VectorExponentialProcess(4, 100, 2, rng=0)
-        proc.generate(100)
-        with pytest.raises(RuntimeError):
-            proc.generate(1)
-
-    def test_generate_beyond_capacity(self):
-        proc = VectorExponentialProcess(4, 100, 2, rng=0)
-        with pytest.raises(RuntimeError):
-            proc.generate(101)
-
-
-class TestRankLawParity:
-    @pytest.mark.parametrize("beta", [1.0, 0.5])
-    def test_matches_reference_exponential(self, beta):
-        n, m, removals, replicas = 16, 4000, 2000, 10
-        vec = VectorExponentialProcess(n, m, replicas, beta=beta, rng=4)
-        vec.generate(m)
-        vres = vec.run_drain(removals)
-        ref_ranks = np.empty((removals, replicas), dtype=np.int32)
-        for r in range(replicas):
-            ref = ExponentialProcess(n, m, beta=beta, rng=1000 + r)
-            ref.generate(m)
-            ref_ranks[:, r] = ref.run_drain(removals).ranks
-        _, p = ks_2sample(_ks_sample(vres.ranks), _ks_sample(ref_ranks))
-        assert p > 1e-3, f"exponential rank laws differ (p={p:.2e})"
-
-    def test_theorem2_equivalence_with_labelled(self):
-        # Thm 2: the exponential process's removal rank law equals the
-        # labelled process's (drain phase, same n/beta).
-        n, m, removals, replicas = 16, 4000, 2000, 10
-        vec_exp = VectorExponentialProcess(n, m, replicas, beta=1.0, rng=5)
-        vec_exp.generate(m)
-        exp_res = vec_exp.run_drain(removals)
-        vec_lab = VectorSequentialProcess(n, m, replicas, beta=1.0, rng=6)
-        lab_res = vec_lab.run_prefill_drain(m, removals)
-        _, p = ks_2sample(_ks_sample(exp_res.ranks), _ks_sample(lab_res.ranks))
-        assert p > 1e-3, f"Theorem 2 equivalence violated (p={p:.2e})"
+from repro.vector.exponential import VectorExponentialTopProcess
 
 
 class TestTopProcess:
