@@ -21,6 +21,7 @@ that queued behind it rather than quietly excused.
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 import time
@@ -29,7 +30,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.service.shm import OP_DELETE, OP_INSERT, ServiceSegment, ShardHeader
+from repro.service.shm import (
+    OP_DELETE,
+    OP_INSERT,
+    ServiceSegment,
+    ShardHeader,
+    SlotRing,
+    slot_checksums,
+)
 from repro.utils.rngtools import as_generator, spawn_seeds
 
 _NS = 1_000_000_000
@@ -145,12 +153,33 @@ class ArrivalSchedule:
     def ops_block(self, gs: np.ndarray) -> Tuple[List[int], List[int], List[int]]:
         """:meth:`op` over the global indices ``gs``, as three lists of
         Python ints (opcodes, labels, intended-start offsets)."""
+        ops, labels, offsets = self.ops_columns(gs)
+        return ops.tolist(), labels.tolist(), offsets.tolist()
+
+    def ops_columns(self, gs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`ops_block` as three int64 arrays."""
         inserts = gs % 2 == 0
         return (
-            np.where(inserts, OP_INSERT, OP_DELETE).tolist(),
-            np.where(inserts, self.insert_labels[gs // 2], -1).tolist(),
-            self.times_ns[gs].tolist(),
+            np.where(inserts, OP_INSERT, OP_DELETE),
+            np.where(inserts, self.insert_labels[gs // 2], -1),
+            self.times_ns[gs],
         )
+
+
+def block_checksums(ops, labels, first_clock: int, t0_ns) -> List[int]:
+    """:func:`~repro.service.shm.slot_checksum` of every request of a block.
+
+    Request ``i`` is ``(ops[i], labels[i], first_clock + i, t0_ns[i])``
+    with ``t1_ns = 0``, as the loadgen pushes it, so one
+    :func:`~repro.service.shm.slot_checksums` fold over the block
+    replaces a scalar fold per push.
+    """
+    fields = np.zeros((5, len(ops)), dtype=np.int64)  # one contiguous row per field
+    fields[0] = ops
+    fields[1] = labels
+    fields[2] = np.arange(first_clock, first_clock + len(ops))
+    fields[3] = t0_ns
+    return slot_checksums(fields.view(np.uint64).T).tolist()
 
 
 def _arrival_times(spec: ScheduleSpec, rng: np.random.Generator) -> np.ndarray:
@@ -274,6 +303,22 @@ def _probe_dead(headers, router, dead_after_ns: int, boot_ns: int) -> None:
             router.mark_dead(shard)
 
 
+class _Unsealed:
+    """A request lane whose ``try_push`` takes no checksum.
+
+    ``SlotRing.try_push`` may be replaced by a wrapper with the plain
+    field signature (an instrumenting tracer, say); the loadgen then
+    pushes through this, dropping its folded checksum so that the ring
+    folds its own.
+    """
+
+    def __init__(self, ring: SlotRing) -> None:
+        self._push = ring.try_push
+
+    def try_push(self, op, label, clock, t0_ns, t1_ns, checksum=None) -> bool:
+        return self._push(op, label, clock, t0_ns, t1_ns)
+
+
 def _push_with_failover(
     headers,
     router,
@@ -286,18 +331,23 @@ def _push_with_failover(
     dead_after_ns: int,
     deadline_s: float,
     boot_ns: int,
+    checksum: Optional[int] = None,
+    shard: Optional[int] = None,
 ) -> int:
     """Push one request, rerouting around shards that stop draining.
 
     A full ring is normal backpressure; a full ring *and* a stale owner
     heartbeat means the owner is gone — mark the shard dead so the
     router stops offering it, and retry elsewhere.  The deadline clock
-    starts only once a first push has failed.  Returns the shard the
+    starts only once a first push has failed.  ``checksum`` is the
+    request's slot checksum if already folded; ``shard`` is the shard a
+    first push already found full, if one did.  Returns the shard the
     request landed on.
     """
-    shard = pick_shard()
-    if rings[shard].try_push(op, label, clock, t0_ns, 0):
-        return shard
+    if shard is None:
+        shard = pick_shard()
+        if rings[shard].try_push(op, label, clock, t0_ns, 0, checksum):
+            return shard
     deadline = time.monotonic() + deadline_s
     while True:
         if _looks_dead(headers[shard], dead_after_ns, boot_ns):
@@ -310,7 +360,7 @@ def _push_with_failover(
         else:
             time.sleep(0.0002)
         shard = pick_shard()
-        if rings[shard].try_push(op, label, clock, t0_ns, 0):
+        if rings[shard].try_push(op, label, clock, t0_ns, 0, checksum):
             return shard
 
 
@@ -351,26 +401,34 @@ def run_loadgen(
         )
         headers = [segment.header(s) for s in range(segment.shards)]
         rings = [segment.request_ring(s, worker_id) for s in range(segment.shards)]
+        if "checksum" not in inspect.signature(SlotRing.try_push).parameters:
+            rings = [_Unsealed(ring) for ring in rings]
         picks = {OP_INSERT: router.insert_shard, OP_DELETE: router.delete_shard}
         dead_after_ns = int(dead_after_s * _NS)
         boot_ns = time.monotonic_ns()
         now_ns = 0  # latest clock reading; intended times at or before it are due
         clock = 0
         for b in range(0, len(stripe), STRIPE_BLOCK):
-            ops, labels, offsets = schedule.ops_block(stripe[b : b + STRIPE_BLOCK])
-            for op, label, offset_ns in zip(ops, labels, offsets):
+            ops, labels, offsets = schedule.ops_columns(stripe[b : b + STRIPE_BLOCK])
+            intended = offsets + start_ns
+            checksums = block_checksums(ops, labels, clock + 1, intended)
+            for op, label, intended_ns, checksum in zip(
+                ops.tolist(), labels.tolist(), intended.tolist(), checksums
+            ):
                 clock += 1
                 if clock % PROBE_EVERY == 0:
                     _probe_dead(headers, router, dead_after_ns, boot_ns)
-                intended_ns = start_ns + offset_ns
                 if intended_ns > now_ns:
                     now_ns = time.monotonic_ns()
                     if intended_ns > now_ns:
                         time.sleep((intended_ns - now_ns) / _NS)
-                _push_with_failover(
-                    headers, router, op, label, clock, intended_ns,
-                    rings, picks[op], dead_after_ns, deadline_s, boot_ns,
-                )
+                pick = picks[op]
+                shard = pick()
+                if not rings[shard].try_push(op, label, clock, intended_ns, 0, checksum):
+                    _push_with_failover(
+                        headers, router, op, label, clock, intended_ns, rings, pick,
+                        dead_after_ns, deadline_s, boot_ns, checksum, shard,
+                    )
         # No STOPs from here: once every loadgen has exited, the parent
         # STOPs each lane of every live owner (server._stop_owners).
         return len(stripe)

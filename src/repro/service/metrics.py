@@ -71,27 +71,32 @@ def latency_stats(latencies_ns: np.ndarray, prefix: str) -> dict:
 def merge_events(events_by_shard: Sequence[Events]) -> np.ndarray:
     """All shards' events as one ``(N, 6)`` array in linearized order.
 
-    The array is allocated once and filled shard by shard.  Columns:
-    shard, ev, label, clock, t0_ns, t1_ns.  Order is
+    Columns: shard, ev, label, clock, t0_ns, t1_ns.  Order is
     ``(clock, shard)`` — Lamport clocks give a causally consistent
     order, and within a shard the owner's clock is strictly increasing,
-    so a label's insert always precedes its delete.
+    so a label's insert always precedes its delete.  A stable sort of
+    the clocks in shard-major order breaks ties by shard.  The output
+    is allocated once and each shard's block is scattered straight to
+    its sorted rows, so no unsorted copy of the whole stream is built.
     """
     blocks = [
         np.asarray(events, dtype=np.int64).reshape(len(events), 5)
         for events in events_by_shard
     ]
-    arr = np.empty((sum(len(b) for b in blocks), 6), dtype=np.int64)
-    row = 0
+    if not blocks:
+        return np.empty((0, 6), dtype=np.int64)
+    order = np.argsort(np.concatenate([block[:, 2] for block in blocks]), kind="stable")
+    row_of = np.empty_like(order)  # sorted row of each shard-major row
+    row_of[order] = np.arange(len(order))
+    del order
+    merged = np.empty((len(row_of), 6), dtype=np.int64)
+    start = 0
     for shard, block in enumerate(blocks):
-        arr[row : row + len(block), 0] = shard
-        arr[row : row + len(block), 1:] = block
-        row += len(block)
-    # Stable sort on the same (clock, shard) keys as the old per-row
-    # path; shard-major filling preserves within-shard order, so the
-    # permuted result is byte-identical to it.
-    order = np.lexsort((arr[:, 0], arr[:, 3]))
-    return arr[order]
+        rows = row_of[start : start + len(block)]
+        merged[rows, 0] = shard
+        merged[rows, 1:] = block
+        start += len(block)
+    return merged
 
 
 def replay_ranks(
@@ -144,6 +149,33 @@ def replay_ranks_reference(
     return np.asarray(ranks, dtype=np.int64)
 
 
+def _offered_stats(merged: np.ndarray, n_shards: int) -> Tuple[dict, dict]:
+    """Throughput and latency of the offered ops of a merged stream.
+
+    Prefill requests carry ``t0 == 0``: not offered traffic, no latency.
+    Only the columns read are copied, never whole offered rows, and
+    they are freed before the caller replays ranks.
+    """
+    offered = merged[:, 4] > 0
+    t0 = merged[offered, 4]
+    lat = merged[offered, 5]
+    # Throughput counts offered ops over their own span: earliest intended
+    # start to latest completion (no prefill, start offset or teardown).
+    span_s = float(lat.max() - t0.min()) / 1e9 if t0.size else 0.0
+    lat -= t0
+    is_insert = merged[offered, 1] == EV_INSERT
+    rates = {
+        "throughput_ops_s": t0.size / span_s if span_s > 0 else 0.0,
+        "per_shard_ops_s": [
+            int(count) / span_s if span_s > 0 else 0.0
+            for count in np.bincount(merged[offered, 0], minlength=n_shards)
+        ],
+    }
+    latencies = latency_stats(lat[is_insert], "insert")
+    latencies.update(latency_stats(lat[~is_insert], "delete"))
+    return rates, latencies
+
+
 def summarize(
     events_by_shard: Sequence[Events],
     schedule: ArrivalSchedule,
@@ -171,16 +203,6 @@ def summarize(
     empties = sum(row["empties"] for row in per_shard)
     total_ops = inserts + deletes + empties
 
-    # Prefill requests carry t0 == 0: not offered traffic, no latency.
-    measured = merged[merged[:, 4] > 0]
-    lat = measured[:, 5] - measured[:, 4]
-    is_insert = measured[:, 1] == EV_INSERT
-    # Throughput counts offered ops over their own span: earliest intended
-    # start to latest completion (no prefill, start offset or teardown).
-    span_s = (
-        float(measured[:, 5].max() - measured[:, 4].min()) / 1e9 if measured.size else 0.0
-    )
-    offered_by_shard = np.bincount(measured[:, 0], minlength=n_shards)
     summary = {
         "ops_offered": schedule.ops,
         "ops_processed": total_ops - len(schedule.prefill_labels),
@@ -189,15 +211,11 @@ def summarize(
         "empties": empties,
         "span_s": schedule.span_s,
         "wall_s": wall_s,
-        "throughput_ops_s": measured.shape[0] / span_s if span_s > 0 else 0.0,
-        "per_shard_ops_s": [
-            int(count) / span_s if span_s > 0 else 0.0 for count in offered_by_shard
-        ],
-        "per_shard": per_shard,
     }
-    summary.update(latency_stats(lat[is_insert], "insert"))
-    summary.update(latency_stats(lat[~is_insert], "delete"))
-
+    rates, latencies = _offered_stats(merged, n_shards)
+    summary.update(rates)
+    summary["per_shard"] = per_shard
+    summary.update(latencies)
     sampled = replay_ranks(merged, schedule.label_universe, rank_sample_every)
     summary["rank_sample_every"] = rank_sample_every
     summary["rank"] = rank_summary(sampled) if sampled.size else None

@@ -47,8 +47,11 @@ from repro.utils.rngtools import SeedLike, as_generator, spawn_seeds
 
 _NS = 1_000_000_000
 
-#: Requests drained per lane per sweep before the owner republishes its
-#: header — bounds how stale the published top can get under load.
+#: Requests drained per lane per sweep.  Every insert and delete
+#: publishes its post-op top at its commit, so this does not bound top
+#: staleness: it bounds how long one lane holds the owner while the
+#: others wait, the longest chunk, and the skew between a chunk's one
+#: ``t1_ns`` stamp and its last commit.
 OWNER_BATCH = 64
 
 #: Seconds the collector sleeps after each pass over the journals.  A
@@ -334,11 +337,11 @@ class ShardOwner:
     journal's free slots.  One Python pass applies it to the heap, which
     is private to this process (only the journal and the snapshot are
     durable, and a snapshot is only taken between chunks).  Then the
-    chunk is journaled in one :meth:`~repro.service.shm.JournalRing.append_run`,
-    which still commits entry by entry: a fence check (one word load of
-    the header epoch), the commit store, then this owner recycles the
-    request slot with its own word store and publishes the post-op
-    ``(top, size)`` of every insert and delete.  So a SIGKILL at any
+    chunk is journaled in one :meth:`~repro.service.shm.JournalRing.append_chunk`,
+    which still commits entry by entry, in one loop of word stores: a
+    fence check (one word load of the header epoch), the commit store,
+    the recycle store of the request slot, and the publish of the
+    post-op ``(top, size)`` of every insert and delete.  So a SIGKILL at any
     instruction leaves each op either committed or replayable, and a
     fenced zombie commits nothing after the fence moved.
     """
@@ -394,7 +397,9 @@ class ShardOwner:
         # journal folds away (nothing left pending).
         while not self._room():
             self._make_room()
-        self._append(([J_BYE], len(self.heap), self.clock + 1, 0, 0, 0), time.monotonic_ns())
+        bye = self._rows(([J_BYE], len(self.heap), self.clock + 1, 0, 0, 0), time.monotonic_ns())
+        if not self.journal.append_run(bye, self._fenced):
+            self._not_free()
         while self.journal.cursor() < self.journal.head:
             self._wait()
         self._take_snapshot()
@@ -446,83 +451,81 @@ class ShardOwner:
         predecessor that died before recycling them: they are recycled
         with no journal entry.  Then at most ``limit`` requests are
         applied to the heap, stopping after ``OP_STOP``, and journaled
-        with one ``t1_ns``.
+        with one ``t1_ns`` by :meth:`~repro.service.shm.JournalRing.append_chunk`,
+        which also recycles their slots and publishes each post-op top.
         """
         ring = self.lanes[lane_id]
         skipped = max(0, min(len(run), self.watermarks[lane_id] - ring.tail))
         for _ in range(skipped):
             ring.advance()
         heap = self.heap
+        heappush, heappop = heapq.heappush, heapq.heappop
         clock = self.clock
-        inserts = deletes = empties = 0
         evs: List[int] = []
         labels: List[int] = []
         clocks: List[int] = []
-        published: List[Optional[Tuple[int, int]]] = []  # post-op (top, size)
+        # Post-op (top, size), published per op: stale tops make two-choice herd.
+        posts: List[Optional[Tuple[int, int]]] = []
         for op, label, req_clock in run[skipped : skipped + limit, 1:4].tolist():
             clock = (clock if clock > req_clock else req_clock) + 1
             clocks.append(clock)
             if op == OP_INSERT:
-                heapq.heappush(heap, label)
+                heappush(heap, label)
                 evs.append(EV_INSERT)
                 labels.append(label)
-                published.append((heap[0], len(heap)))
-                inserts += 1
+                posts.append((heap[0], len(heap)))
             elif op == OP_DELETE and heap:
                 evs.append(EV_DELETE)
-                labels.append(heapq.heappop(heap))
-                published.append((heap[0] if heap else TOP_EMPTY, len(heap)))
-                deletes += 1
+                labels.append(heappop(heap))
+                posts.append((heap[0] if heap else TOP_EMPTY, len(heap)))
             elif op == OP_DELETE:
                 evs.append(EV_EMPTY)
                 labels.append(-1)
-                published.append(None)
-                empties += 1
+                posts.append(None)
             elif op == OP_STOP:
                 evs.append(J_STOP)
                 labels.append(0)
-                published.append(None)
+                posts.append(None)
                 self.stopped[lane_id] = True
                 break
             else:
                 pos = ring.tail + len(evs)
                 raise TornSlotError(f"request slot position {pos} carries opcode {op}", pos)
         self.clock = clock
-        self.cum_inserts += inserts
-        self.cum_deletes += deletes
-        self.cum_empties += empties
         k = len(evs)
         if not k:
             return skipped, 0
-        rows = run[skipped : skipped + k]
-        self.watermarks[lane_id] = int(rows[-1, 0])  # last position + 1
+        self.cum_inserts += evs.count(EV_INSERT)
+        self.cum_deletes += evs.count(EV_DELETE)
+        self.cum_empties += evs.count(EV_EMPTY)
+        first = ring.tail  # the chunk's request positions: first, first + 1, ...
+        self.watermarks[lane_id] = first + k
         self.since_snapshot += k
-        publish = self.header.publish
         now = time.monotonic_ns()
-
-        def committed(i: int) -> None:
-            ring.advance()
-            post = published[i]
-            if post is not None:
-                publish(post[0], post[1], now)  # per op: stale tops make two-choice herd
-
-        self._append((evs, labels, clocks, rows[:, 4], lane_id, rows[:, 0] - 1), now, committed)
+        t0s = run[skipped : skipped + k, 4]
+        reqpos = np.arange(first, first + k)
+        entries = self._rows((evs, labels, clocks, t0s, lane_id, reqpos), now)
+        if not self.journal.append_chunk(entries, ring, self.header, posts, now):
+            self._not_free()
         return skipped + k, k
 
-    def _append(self, columns, t1_ns: int, committed=None) -> None:
-        """Journal ``(ev, label, clock, t0_ns, lane, reqpos)`` columns
-        (sequences, or scalars for every row), stamped with ``t1_ns``
-        and this owner's epoch."""
-        fields = np.empty((len(columns[0]), 8), dtype=np.int64)
+    def _rows(self, columns, t1_ns: int) -> np.ndarray:
+        """Journal rows of ``(ev, label, clock, t0_ns, lane, reqpos)``
+        columns (sequences, or scalars for every row), stamped with
+        ``t1_ns`` and this owner's epoch: the ``(k, 9)`` uint64 transpose
+        of one ``(9, k)`` array, checksum row left for the append."""
+        fields = np.empty((9, len(columns[0])), dtype=np.int64)
         for j, column in enumerate(columns):
-            fields[:, j] = column
-        fields[:, 6] = t1_ns
-        fields[:, 7] = self.epoch
-        if not self.journal.append_run(fields.view(np.uint64), self._fenced, committed):
-            raise TornSlotError(
-                f"shard {self.shard} journal position {self.journal.head} is not free",
-                self.journal.head,
-            )
+            fields[j] = column
+        fields[6] = t1_ns
+        fields[7] = self.epoch
+        return fields.view(np.uint64).T
+
+    def _not_free(self) -> None:
+        raise TornSlotError(
+            f"shard {self.shard} journal position {self.journal.head} is not free",
+            self.journal.head,
+        )
 
     # -- journal room, snapshots and waiting ---------------------------------
 

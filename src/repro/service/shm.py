@@ -37,8 +37,8 @@ stamped with a stale epoch are from a zombie predecessor and are fenced.
 (:meth:`SlotRing.read_run`, :meth:`JournalRing.read_run`): seq words
 first, then the committed prefix's payloads in one copy, checksummed by
 one vectorized fold.  The shard owner journals a drained chunk with one
-:meth:`JournalRing.append_run` (one fold, one strided payload store)
-that still commits entry by entry.
+:meth:`JournalRing.append_chunk` (one fold, one strided payload store)
+that still commits entry by entry, in one loop of word stores.
 
 **Durable shard state (journal + snapshot).**  Each shard owns a commit
 *journal* — a ring of applied operations under the same claim/commit
@@ -72,7 +72,8 @@ import numpy as np
 #: intended-start and completion timestamps (monotonic ns), checksum.
 SLOT = struct.Struct("<QQqQqqQ")
 _SLOT_PAYLOAD = struct.Struct("<QqQqqQ")  # SLOT after its seq word
-_SLOT_WORDS = SLOT.size // 8
+_SLOT_SIZE = SLOT.size
+_SLOT_WORDS = _SLOT_SIZE // 8
 _SEQ = struct.Struct("<Q")
 
 
@@ -192,7 +193,9 @@ def journal_checksums(fields: np.ndarray) -> np.ndarray:
     Columns are the payload fields in ``JSLOT`` order (op, label, clock,
     t0_ns, lane, reqpos, t1_ns, epoch), signed fields as their
     two's-complement words.  uint64 arithmetic wraps mod 2**64, so one
-    XOR-multiply per column over all rows is the scalar fold.
+    XOR-multiply per column over all rows is the scalar fold.  A column
+    is contiguous when ``fields`` is the transpose of a C-ordered array
+    with one row per field, as the shard owner and the loadgen build it.
     """
     prime = np.uint64(0x100000001B3)
     h = fields[:, 0] ^ np.uint64(0x9E3779B97F4A7C15)
@@ -492,19 +495,24 @@ class SlotRing(_Ring):
     # -- producer side ---------------------------------------------------
 
     def try_push(
-        self, op: int, label: int, clock: int = 0, t0_ns: int = 0, t1_ns: int = 0
+        self, op: int, label: int, clock: int = 0, t0_ns: int = 0, t1_ns: int = 0,
+        checksum: Optional[int] = None,
     ) -> bool:
-        """Claim the head slot, write the payload, commit.  False = full."""
+        """Claim the head slot, write the payload, commit.  False = full.
+
+        ``checksum`` is the payload's :func:`slot_checksum` when the
+        caller already folded it (the loadgen folds a block at once with
+        :func:`slot_checksums`); ``None`` folds it here.
+        """
         p = self._head
-        off = self._slot_offset(p)
+        off = self._slots + p % self.capacity * _SLOT_SIZE  # _slot_offset, one call fewer
         (seq,) = _SEQ.unpack_from(self._buf, off)
         if seq != p:
             return False  # ring full (or we lost our position: recover())
+        if checksum is None:
+            checksum = slot_checksum(op, label, clock, t0_ns, t1_ns)
         # Claimed: payload first, checksum included, never touching seq ...
-        _SLOT_PAYLOAD.pack_into(
-            self._buf, off + 8, op, label, clock, t0_ns, t1_ns,
-            slot_checksum(op, label, clock, t0_ns, t1_ns),
-        )
+        _SLOT_PAYLOAD.pack_into(self._buf, off + 8, op, label, clock, t0_ns, t1_ns, checksum)
         # ... and only then the one-word commit store that publishes it.
         self._words[off >> 3] = p + 1
         self._head = p + 1
@@ -618,55 +626,106 @@ class JournalRing(_Ring):
 
     # -- producer side ---------------------------------------------------
 
-    def append_run(self, fields: np.ndarray, fence=None, committed=None) -> bool:
-        """Append ``len(fields)`` entries from the head.  False = full.
+    def _write_run(self, rows: np.ndarray) -> bool:
+        """Fold and store ``len(rows)`` entries from the head, committing none.
 
-        ``fields`` is a ``(k, 8)`` uint64 array of payload fields in
-        ``JSLOT`` order (signed fields as two's-complement words), with
-        ``0 < k <= capacity``.  Every claimed slot must read free
-        (``seq == position``), or nothing is written and the append
-        returns False.  One vectorized fold computes the checksums and
-        one strided store writes all ``k`` payloads, never touching a
-        seq word.  Then, entry by entry: ``fence`` (if given) is called
-        before the commit store, and if it returns true the append
-        raises :class:`FencedOwnerError` with that entry and every later
-        one still free — a fenced zombie cannot commit even one more
-        entry; the commit is one word store of the seq; and
-        ``committed(i)`` (if given) runs once entry ``i`` is committed.
+        ``rows`` is a ``(k, 9)`` uint64 array of the slot words after the
+        seq, with ``0 < k <= capacity``: the eight payload fields in
+        ``JSLOT`` order (signed fields as two's-complement words), then a
+        checksum column that this fills in.  Built as the transpose of a
+        ``(9, k)`` array, every column the fold reads is contiguous.
+        Every claimed slot must read free (``seq == position``), or
+        nothing is written and this returns False.  One vectorized fold
+        computes the checksums and one strided store per ring lap writes
+        the payloads, never touching a seq word.
         """
-        k = len(fields)
+        k = len(rows)
         cap = self.capacity
         if not 0 < k <= cap:
-            raise ValueError(f"append_run of {k} entries into a {cap}-slot journal")
+            raise ValueError(f"append of {k} entries into a {cap}-slot journal")
         p = self._head
         first = min(k, cap - p % cap)  # entries before the ring end
-        pieces = [(p, fields[:first])]
+        pieces = [(p, rows[:first])]
         if first < k:
-            pieces.append((p + first, fields[first:]))
-        for pos, rows in pieces:
+            pieces.append((p + first, rows[first:]))
+        for pos, piece in pieces:
             seqs = _copy_words(
-                self._buf, self._slot_offset(pos), (len(rows) - 1) * _JWORDS + 1, _JWORDS
+                self._buf, self._slot_offset(pos), (len(piece) - 1) * _JWORDS + 1, _JWORDS
             )
-            if seqs.tolist() != list(range(pos, pos + len(rows))):
+            if seqs.tolist() != list(range(pos, pos + len(piece))):
                 return False
-        payloads = np.empty((k, _JWORDS - 1), dtype=np.uint64)
-        payloads[:, :-1] = fields
-        payloads[:, -1] = journal_checksums(fields)
-        for pos, rows in pieces:
-            start = pos - p
-            _store_payloads(self._buf, self._slot_offset(pos), payloads[start : start + len(rows)])
-        words = self._words
-        base = self._slots >> 3
-        for pos in range(p, p + k):
+        rows[:, 8] = journal_checksums(rows[:, :8])
+        for pos, piece in pieces:
+            _store_payloads(self._buf, self._slot_offset(pos), piece)
+        return True
+
+    def append_run(self, rows: np.ndarray, fence=None) -> bool:
+        """Append ``len(rows)`` entries from the head.  False = full.
+
+        ``rows`` is as in :meth:`_write_run`, which writes the payloads.
+        Then, entry by entry: ``fence`` (if given) is called before the
+        commit store, and if it returns true the append raises
+        :class:`FencedOwnerError` with that entry and every later one
+        still free; the commit is one word store of the seq.
+        """
+        if not self._write_run(rows):
+            return False
+        words, base, cap = self._words, self._slots >> 3, self.capacity
+        p = self._head
+        for pos in range(p, p + len(rows)):
             if fence is not None and fence():
                 raise FencedOwnerError(
-                    f"owner epoch {int(fields[pos - p, 7])} fenced before "
+                    f"owner epoch {int(rows[pos - p, 7])} fenced before "
                     f"committing journal pos {pos}"
                 )
             words[base + pos % cap * _JWORDS] = pos + 1
             self._head = pos + 1
-            if committed is not None:
-                committed(pos - p)
+        return True
+
+    def append_chunk(
+        self, rows: np.ndarray, lane: SlotRing, header: "ShardHeader",
+        posts: Sequence[Optional[Tuple[int, int]]], heartbeat_ns: int,
+    ) -> bool:
+        """Append a shard owner's drained chunk and commit it in one loop.
+
+        Entry ``i`` of ``rows`` (as in :meth:`_write_run`) journals the
+        request ``i`` slots past ``lane``'s tail, and ``posts[i]`` is
+        the shard's post-op ``(top, size)``, or None when the op changed
+        neither.  Each entry commits with inline word stores, in this
+        order: one load of ``header``'s epoch word, which must still be
+        the entries' epoch, else :class:`FencedOwnerError` is raised with
+        this entry and every later one free and their requests pending;
+        the commit store of the entry's seq; the recycle store of the
+        request slot (as :meth:`SlotRing.advance`); and for a post, the
+        stores of :meth:`ShardHeader.publish` with ``heartbeat_ns``.
+        False = full, with nothing written.
+        """
+        if not self._write_run(rows):
+            return False
+        words = self._words
+        epoch = int(rows[0, 7])
+        fence = header._offset >> 3
+        seqlock = fence + 1
+        jbase, jcap = self._slots >> 3, self.capacity
+        rbase, rcap = lane._slots >> 3, lane.capacity
+        p, r = self._head, lane._tail
+        heartbeat = heartbeat_ns & _MASK64
+        for i, post in enumerate(posts):
+            if words[fence] != epoch:
+                self._head, lane._tail = p + i, r + i
+                raise FencedOwnerError(
+                    f"owner epoch {epoch} fenced before committing journal pos {p + i}"
+                )
+            words[jbase + (p + i) % jcap * _JWORDS] = p + i + 1
+            words[rbase + (r + i) % rcap * _SLOT_WORDS] = r + i + rcap
+            if post is not None:
+                writing = words[seqlock] | 1
+                words[seqlock] = writing  # odd: writing
+                words[seqlock + 1] = post[0] & _MASK64
+                words[seqlock + 2] = post[1]
+                words[seqlock + 3] = heartbeat
+                words[seqlock] = writing + 1  # even: stable
+        self._head, lane._tail = p + len(posts), r + len(posts)
         return True
 
     def try_append(
@@ -681,9 +740,8 @@ class JournalRing(_Ring):
         returns true the append raises :class:`FencedOwnerError` with the
         slot still free.
         """
-        row = [op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch]
-        fields = np.array([[v & _MASK64 for v in row]], dtype=np.uint64)
-        return self.append_run(fields, fence)
+        row = [op, label, clock, t0_ns, lane, reqpos, t1_ns, epoch, 0]
+        return self.append_run(np.array([[v & _MASK64 for v in row]], dtype=np.uint64), fence)
 
     def truncate_to(self, new_tail: int) -> None:
         """Recycle every entry below ``new_tail``."""

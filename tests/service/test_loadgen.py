@@ -5,11 +5,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import loadgen
 from repro.service.loadgen import ArrivalSchedule, ScheduleSpec
 from repro.service.server import Router
-from repro.service.shm import OP_DELETE, OP_INSERT, ServiceSegment
+from repro.service.shm import OP_DELETE, OP_INSERT, ServiceSegment, SlotRing, slot_checksum
 
 
 class TestSpecValidation:
@@ -188,6 +190,92 @@ class TestLoadgenLoop:
             )
             assert shard == 1 and router.alive_shards() == (1,)
             assert rings[1].try_pop()[:2] == (OP_INSERT, 5)
+        finally:
+            seg.close()
+            seg.unlink()
+
+
+_block = st.lists(
+    st.tuples(
+        st.sampled_from([OP_INSERT, OP_DELETE]),
+        st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),  # labels, -1 included
+        st.integers(min_value=0, max_value=(1 << 63) - 1),  # intended start ns
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestBlockFold:
+    """The loadgen folds a block's slot checksums at once; every push
+    must still carry exactly :func:`slot_checksum` of its payload."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_block, st.integers(min_value=1, max_value=(1 << 62)))
+    def test_equals_the_scalar_fold_per_op(self, block, first_clock):
+        ops, labels, t0s = (list(column) for column in zip(*block))
+        got = loadgen.block_checksums(ops, labels, first_clock, t0s)
+        want = [
+            slot_checksum(op, label, first_clock + i, t0, 0)
+            for i, (op, label, t0) in enumerate(block)
+        ]
+        assert got == want
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=1 << 61))
+    def test_consecutive_blocks_continue_the_clock(self, size, start_ns):
+        sched = ScheduleSpec(mode="poisson", ops=40, prefill=4, rate=1e4, seed=size).build()
+        stripe = sched.stripe(0, 1)
+        sums = []
+        for b in range(0, len(stripe), size):  # the run_loadgen loop, one fold per block
+            ops, labels, offsets = sched.ops_columns(stripe[b : b + size])
+            sums += loadgen.block_checksums(ops, labels, b + 1, offsets + start_ns)
+        want = []
+        for clock, g in enumerate(stripe.tolist(), start=1):
+            op, label, offset = sched.op(g)
+            want.append(slot_checksum(op, label, clock, start_ns + offset, 0))
+        assert sums == want
+
+
+def _plain_try_push(monkeypatch):
+    """Replace ``SlotRing.try_push`` with a wrapper of the plain field
+    signature, as an instrumenting tracer does."""
+    real = SlotRing.try_push
+
+    def push(self, op, label, clock=0, t0_ns=0, t1_ns=0):
+        return real(self, op, label, clock, t0_ns, t1_ns)
+
+    monkeypatch.setattr(SlotRing, "try_push", push)
+
+
+class TestLoadgenStripe:
+    """A real ``run_loadgen`` stripe, in process, into lanes with no owner."""
+
+    @pytest.mark.parametrize("block", [loadgen.STRIPE_BLOCK, 97])
+    @pytest.mark.parametrize("plain", [False, True], ids=["sealed", "plain-try-push"])
+    def test_every_slot_decodes_to_its_scheduled_op(self, monkeypatch, block, plain):
+        monkeypatch.setattr(loadgen, "STRIPE_BLOCK", block)
+        if plain:
+            _plain_try_push(monkeypatch)
+        spec = ScheduleSpec(mode="poisson", ops=1500, prefill=16, rate=2e9, seed=3)
+        sched = spec.build()
+        n_workers, worker = 2, 1
+        seg = ServiceSegment.create(shards=2, lanes=n_workers + 1, req_capacity=1024, journal_capacity=8)
+        try:
+            start_ns = 5 << 40  # long past, so nothing waits
+            offered = loadgen.run_loadgen(
+                seg.name, worker, n_workers, spec, start_ns, beta=1.0, dead_after_s=600.0,
+            )
+            stripe = sched.stripe(worker, n_workers).tolist()
+            assert offered == len(stripe)
+            pushed = {}
+            for shard in range(seg.shards):
+                run = seg.request_ring(shard, worker).read_run(0, 1024)  # checks every checksum
+                for _seq, op, label, clock, t0, t1, _sum in run.view(np.int64).tolist():
+                    assert t1 == 0
+                    pushed[clock] = (op, label, t0 - start_ns)
+            assert sorted(pushed) == list(range(1, len(stripe) + 1))
+            assert [pushed[c] for c in range(1, len(stripe) + 1)] == [sched.op(g) for g in stripe]
         finally:
             seg.close()
             seg.unlink()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.policies import biased_insert_probs
-from repro.service.loadgen import ScheduleSpec
+from repro.service.loadgen import ScheduleSpec, run_loadgen
 from repro.service.metrics import conservation_audit, merge_events, replay_ranks, summarize
 from repro.service.server import (
     OWNER_BATCH,
@@ -896,6 +896,58 @@ class TestChunkedOwner:
         header_words = range(seqlock - 1, seqlock + 4)
         assert not [s for s in words.stores[bumped_at[0]:] if s[0] in header_words]
         assert seg.header(0).read()[1:3] == (10, i + 1)  # the last publish is op i's
+
+
+def _drain_loadgen_stripes(owner_cls, spec, workers=2, snapshot_every=100):
+    """``owner_cls`` draining ``workers`` real loadgen stripes, without processes.
+
+    Every stripe is pushed by ``run_loadgen`` in process (its own attach
+    of the segment, so its stores are not in the log), then each lane
+    gets its STOP and the owner is stepped through sweeps with a
+    collector that reads after every sweep and whenever the owner waits.
+    """
+    seg = ServiceSegment.create(
+        shards=1, lanes=workers + 1, req_capacity=1024, journal_capacity=32, state_capacity=1024,
+    )
+    seg._words = _RecordingWords(seg._words)
+
+    def fill(owner):
+        for worker in range(workers):
+            run_loadgen(seg.name, worker, workers, spec, 1 << 40, beta=1.0, dead_after_s=600.0)
+
+    def stop(owner):
+        for lane in range(workers):
+            ring = seg.request_ring(0, lane)
+            ring.recover()  # the loadgen's producer position
+            assert ring.try_push(OP_STOP, 0, 0, 0, 0)
+
+    sweeps = -(-spec.ops // (workers * OWNER_BATCH)) + 2
+    try:
+        return _run_script(seg, owner_cls, [fill, stop] + ["sweep"] * sweeps, snapshot_every)
+    finally:
+        seg.close()
+        seg.unlink()
+
+
+class TestLoadgenToOwner:
+    """The whole op path in one process: lanes filled by the loadgen's
+    block-folded pushes, drained by the chunked owner as by the per-op
+    reference."""
+
+    def test_journal_matches_the_per_op_reference(self):
+        spec = ScheduleSpec(mode="poisson", ops=700, prefill=0, rate=1e9, seed=8)
+        ref = _drain_loadgen_stripes(_ReferenceOwner, spec)
+        got = _drain_loadgen_stripes(ShardOwner, spec)
+        assert got.rows == ref.rows  # every field but t1 and its checksum
+        assert got.publishes == ref.publishes
+        assert got.log == ref.log
+        assert got.state == ref.state
+        assert [s["fold_pos"] for s in got.snapshots] == [s["fold_pos"] for s in ref.snapshots]
+        applied = [row for row in got.rows if row[1] in (EV_INSERT, EV_DELETE, EV_EMPTY)]
+        assert len(applied) == spec.ops
+        clocks = [row[3] for row in got.rows]
+        assert clocks == sorted(set(clocks))  # the owner's Lamport clock only rises
+        assert {row[4] >> 40 for row in applied} == {1}  # loadgen-stamped intended starts
 
 
 def _proc_gone(pid):
