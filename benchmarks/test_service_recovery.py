@@ -26,8 +26,8 @@ from _helpers import archive_json, emit, once
 
 from repro.bench.tables import format_table
 from repro.service.loadgen import ScheduleSpec
-from repro.service.server import EXIT_FENCED
-from repro.service.supervisor import ChaosSpec, run_chaos_service
+from repro.service.server import EXIT_FENCED, run_service
+from repro.service.supervisor import ChaosSpec
 
 SHARDS = 3
 WORKERS = 2
@@ -51,16 +51,17 @@ def _run():
         kills=KILLS, stalls=0, zombies=ZOMBIES, seed=SEED,
         start_s=0.25, window_s=1.2,
     )
-    result = run_chaos_service(
+    result = run_service(
         SHARDS,
         WORKERS,
         spec,
-        chaos=chaos,
         beta=BETA,
         seed=SEED,
         dead_after_s=DEAD_AFTER_S,
         snapshot_every=256,
         rank_sample_every=4,
+        supervise=True,
+        chaos_spec=chaos,
     )
     result["cores"] = os.cpu_count()
     return result

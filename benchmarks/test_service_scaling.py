@@ -2,10 +2,10 @@
 
 The claim the simulator could model but never demonstrate: adding shard
 owners to the live shared-memory service scales delete-min throughput.
-Runs the same closed-throttle load at 1..4 shard owners and archives the
-speedup curve, then cross-validates the rank-vs-beta shape against the
-discrete-event simulator and archives everything as
-``BENCH_service.json``.
+Runs the same closed-throttle load at 1..4 shard owners (one
+``run_service`` call each) and archives the speedup curve, then
+cross-validates the rank-vs-beta shape against the discrete-event
+simulator and archives everything as ``BENCH_service.json``.
 
 The >2x speedup floor only binds on hardware with enough cores to scale
 (CI runners have 4 vCPUs); on smaller boxes the curve is still archived
@@ -18,7 +18,7 @@ from _helpers import archive_json, emit, once
 
 from repro.bench.tables import format_table
 from repro.service.loadgen import ScheduleSpec
-from repro.service.server import run_scaling_sweep
+from repro.service.server import run_service
 from repro.service.validate import compare_service_and_sim
 
 SHARD_COUNTS = (1, 2, 4)
@@ -39,9 +39,31 @@ ENOUGH_CORES = (os.cpu_count() or 1) >= 4
 
 def _run():
     spec = ScheduleSpec(mode="poisson", ops=OPS, prefill=PREFILL, rate=0.0, seed=SEED)
-    scaling = run_scaling_sweep(
-        SHARD_COUNTS, WORKERS, spec, beta=BETA, seed=SEED
-    )
+    rows = []
+    for shards in SHARD_COUNTS:
+        res = run_service(shards, WORKERS, spec, beta=BETA, seed=SEED)
+        rows.append(
+            {
+                "shards": shards,
+                "workers": WORKERS,
+                "throughput_ops_s": res["throughput_ops_s"],
+                "delete_p99_ms": res["delete_p99_ms"],
+                "rank": res["rank"],
+                "torn": res["audit"]["torn"],
+            }
+        )
+    base = rows[0]["throughput_ops_s"]
+    for row in rows:
+        row["speedup"] = row["throughput_ops_s"] / base if base else float("nan")
+    scaling = {
+        "beta": BETA,
+        "gamma": 0.0,
+        "policy": "mq",
+        "mode": spec.mode,
+        "ops": OPS,
+        "prefill": PREFILL,
+        "rows": rows,
+    }
     validation = compare_service_and_sim(
         shards=max(SHARD_COUNTS),
         workers=2,

@@ -11,7 +11,7 @@ Usage (after ``pip install -e .``)::
     python -m repro graph-choice --n 36
     python -m repro sweep --backend both --replicas 64 --steps 20000
     python -m repro worker --queue-dir /shared/q --betas 1.0 0.5 --seeds 4
-    python -m repro serve --shards 4 --workers 4 --scaling 1 2 4
+    python -m repro serve --shards 4 --workers 4 --ops 50000 --rate 20000
 
 Every subcommand prints a paper-style table and, where a curve is the
 point, an ASCII chart.  All experiments accept ``--seed`` for exact
@@ -302,14 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period-s", type=float, default=4.0, help="diurnal period")
     p.add_argument(
         "--trace", type=str, default=None, help="arrival trace file (seconds per line)"
-    )
-    p.add_argument(
-        "--scaling",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="SHARDS",
-        help="rerun the same load at each shard count and report speedup",
     )
     p.add_argument(
         "--validate",
@@ -1019,9 +1011,15 @@ def cmd_check(args) -> None:
 def cmd_serve(args) -> None:
     import json
 
-    from repro.service.loadgen import ScheduleSpec
-    from repro.service.server import run_scaling_sweep, run_service
+    from repro.service.loadgen import EXIT_ALL_SHARDS_DEAD, ScheduleSpec
+    from repro.service.server import AllShardsDeadError, run_service
+    from repro.service.supervisor import ChaosSpec
     from repro.service.validate import compare_service_and_sim
+
+    def write_json(record: dict) -> None:
+        if args.json:
+            with open(args.json, "w") as fh:
+                json.dump(record, fh, indent=2)
 
     spec = ScheduleSpec(
         mode=args.mode,
@@ -1070,196 +1068,145 @@ def cmd_serve(args) -> None:
             f"\nworst-beta agreement: {result['worst_beta_agreement']}, "
             f"spearman rho: {result['spearman_rho']:.2f}"
         )
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(result, fh, indent=2)
+        write_json(result)
         if not result["ordering_agreement"]:
             print("SHAPE DISAGREEMENT: service does not reproduce the sim's rank law")
             raise SystemExit(1)
         print("shape agreement: ok")
         return
-    if args.scaling:
-        result = run_scaling_sweep(
-            args.scaling,
+
+    chaos_spec = None
+    if args.chaos:
+        chaos_spec = ChaosSpec(
+            kills=args.kills,
+            stalls=args.stalls,
+            zombies=args.zombies,
+            seed=args.seed if args.chaos_seed is None else args.chaos_seed,
+            start_s=args.chaos_start_s,
+            window_s=args.chaos_window_s,
+        )
+    dead_after_s = args.dead_after_s
+    if dead_after_s is None:
+        dead_after_s = 0.35 if args.chaos else 2.0
+    try:
+        result = run_service(
+            args.shards,
             args.workers,
             spec,
             beta=args.beta,
             gamma=args.gamma,
             policy=args.policy,
             seed=args.seed,
+            supervise=args.supervise or args.chaos,
+            chaos_spec=chaos_spec,
+            dead_after_s=dead_after_s,
         )
-        rows = [
-            {
-                "shards": row["shards"],
-                "ops/s": row["throughput_ops_s"],
-                "speedup": row["speedup"],
-                "delete p99 ms": row["delete_p99_ms"],
-                "mean rank": row["rank"]["mean_rank"] if row["rank"] else float("nan"),
-                "torn": row["torn"],
-            }
-            for row in result["rows"]
-        ]
-        print(
-            format_table(
-                rows,
-                title=f"throughput scaling, beta={args.beta}, "
-                f"{args.workers} loadgen workers",
-                floatfmt=".2f",
-            )
-        )
-    else:
-        from repro.service.server import AllShardsDeadError
-
-        chaos_spec = None
-        if args.chaos:
-            from repro.service.supervisor import ChaosSpec
-
-            chaos_spec = ChaosSpec(
-                kills=args.kills,
-                stalls=args.stalls,
-                zombies=args.zombies,
-                seed=args.seed if args.chaos_seed is None else args.chaos_seed,
-                start_s=args.chaos_start_s,
-                window_s=args.chaos_window_s,
-            )
-        dead_after_s = args.dead_after_s
-        if dead_after_s is None:
-            dead_after_s = 0.35 if args.chaos else 2.0
-        try:
-            result = run_service(
-                args.shards,
-                args.workers,
-                spec,
-                beta=args.beta,
-                gamma=args.gamma,
-                policy=args.policy,
-                seed=args.seed,
-                supervise=args.supervise or args.chaos,
-                chaos_spec=chaos_spec,
-                dead_after_s=dead_after_s,
-            )
-        except AllShardsDeadError as err:
-            from repro.service.loadgen import EXIT_ALL_SHARDS_DEAD
-
-            record = {
-                "error": "all_shards_dead",
-                "heartbeat_ages_s": {str(s): age for s, age in err.ages.items()},
-                "message": str(err),
-            }
-            print(json.dumps(record), file=sys.stderr)
-            if args.json:
-                with open(args.json, "w") as fh:
-                    json.dump(record, fh, indent=2)
-            raise SystemExit(EXIT_ALL_SHARDS_DEAD)
-        headline = {
-            "ops/s": result["throughput_ops_s"],
-            "wall s": result["wall_s"],
-            "insert p99 ms": result["insert_p99_ms"],
-            "delete p99 ms": result["delete_p99_ms"],
-            "empties": result["empties"],
-            "mean rank": result["rank"]["mean_rank"] if result["rank"] else float("nan"),
-            "torn": result["audit"]["torn"],
+    except AllShardsDeadError as err:
+        record = {
+            "error": "all_shards_dead",
+            "heartbeat_ages_s": {str(s): age for s, age in err.ages.items()},
+            "message": str(err),
         }
-        print(
-            format_table(
-                [headline],
-                title=f"service run: {args.shards} shards, {args.workers} workers, "
-                f"beta={args.beta}, policy={args.policy}, mode={args.mode}",
-                floatfmt=".2f",
-            )
+        print(json.dumps(record), file=sys.stderr)
+        write_json(record)
+        raise SystemExit(EXIT_ALL_SHARDS_DEAD)
+    result.pop("rank_values", None)
+    write_json(result)
+    headline = {
+        "ops/s": result["throughput_ops_s"],
+        "wall s": result["wall_s"],
+        "insert p99 ms": result["insert_p99_ms"],
+        "delete p99 ms": result["delete_p99_ms"],
+        "empties": result["empties"],
+        "mean rank": result["rank"]["mean_rank"] if result["rank"] else float("nan"),
+        "torn": result["audit"]["torn"],
+    }
+    print(
+        format_table(
+            [headline],
+            title=f"service run: {args.shards} shards, {args.workers} workers, "
+            f"beta={args.beta}, policy={args.policy}, mode={args.mode}",
+            floatfmt=".2f",
         )
-        shard_rows = [
+    )
+    shard_rows = [
+        {
+            "shard": row["shard"],
+            "inserts": row["inserts"],
+            "deletes": row["deletes"],
+            "empties": row["empties"],
+            "ops/s": result["per_shard_ops_s"][row["shard"]],
+        }
+        for row in result["per_shard"]
+    ]
+    print()
+    print(format_table(shard_rows, title="per-shard load", floatfmt=".0f"))
+    violations = []
+    supervision = result.get("supervision")
+    if supervision is not None:
+        incident_rows = [
             {
-                "shard": row["shard"],
-                "inserts": row["inserts"],
-                "deletes": row["deletes"],
-                "empties": row["empties"],
-                "ops/s": result["per_shard_ops_s"][row["shard"]],
+                "shard": inc["shard"],
+                "kind": inc["kind"],
+                "recovery s": inc["recovery_s"] if inc["recovery_s"] else float("nan"),
+                "replayed": inc["replayed"] if inc["replayed"] is not None else 0,
+                "heap": inc["recovered_heap"]
+                if inc["recovered_heap"] is not None
+                else 0,
+                "ok": "yes" if inc["takeover_ok"] else "no",
             }
-            for row in result["per_shard"]
+            for inc in supervision["incidents"]
         ]
         print()
-        print(format_table(shard_rows, title="per-shard load", floatfmt=".0f"))
-        violations = []
-        supervision = result.get("supervision")
-        if supervision is not None:
-            incident_rows = [
-                {
-                    "shard": inc["shard"],
-                    "kind": inc["kind"],
-                    "recovery s": inc["recovery_s"] if inc["recovery_s"] else float("nan"),
-                    "replayed": inc["replayed"] if inc["replayed"] is not None else 0,
-                    "heap": inc["recovered_heap"]
-                    if inc["recovered_heap"] is not None
-                    else 0,
-                    "ok": "yes" if inc["takeover_ok"] else "no",
-                }
-                for inc in supervision["incidents"]
-            ]
-            print()
-            if incident_rows:
-                print(
-                    format_table(
-                        incident_rows,
-                        title=f"recovery incidents ({supervision['takeovers']} takeovers)",
-                        floatfmt=".3f",
-                    )
-                )
-            else:
-                print("supervision: no incidents")
-            conservation = result["conservation"]
+        if incident_rows:
             print(
-                f"conservation: {'ok' if conservation['ok'] else 'VIOLATED'} "
-                f"(events_match={conservation['events_match']}, "
-                f"epoch_regressions={conservation['epoch_regressions']}, "
-                f"residual_total={conservation['residual_total']})"
-            )
-            post = result.get("post_recovery")
-            if post is not None and post.get("oracle_ks") is not None:
-                print(
-                    f"post-recovery: n={post['n_ranks']}, "
-                    f"oracle ks={post['oracle_ks']:.3f}, "
-                    f"oracle mean err={post['oracle_mean_err']:.3f}"
+                format_table(
+                    incident_rows,
+                    title=f"recovery incidents ({supervision['takeovers']} takeovers)",
+                    floatfmt=".3f",
                 )
-            if args.chaos:
-                if not conservation["ok"]:
-                    violations.append("conservation violated")
-                if conservation["epoch_regressions"]:
-                    violations.append(
-                        f"{conservation['epoch_regressions']} unfenced zombie commits"
-                    )
-                if result["audit"]["torn"]:
-                    violations.append(f"{result['audit']['torn']} torn slots")
-                if result["audit"]["pending"]:
-                    violations.append(
-                        f"{result['audit']['pending']} pending journal entries"
-                    )
-                if supervision["takeovers"] < 1:
-                    violations.append("no takeovers observed")
-        if args.chaos_manifest and result.get("chaos") is not None:
-            with open(args.chaos_manifest, "w") as fh:
-                json.dump(result["chaos"], fh, indent=2)
-            print(f"chaos manifest written to {args.chaos_manifest}")
-        if any(code == 4 for code in result.get("loadgen_exitcodes", [])):
-            from repro.service.loadgen import EXIT_ALL_SHARDS_DEAD
-
-            if args.json:
-                result.pop("rank_values", None)
-                with open(args.json, "w") as fh:
-                    json.dump(result, fh, indent=2)
-            print("a load generator found every shard dead", file=sys.stderr)
-            raise SystemExit(EXIT_ALL_SHARDS_DEAD)
-        if violations:
-            if args.json:
-                result.pop("rank_values", None)
-                with open(args.json, "w") as fh:
-                    json.dump(result, fh, indent=2)
-            print("chaos violations: " + "; ".join(violations), file=sys.stderr)
-            raise SystemExit(1)
-    if args.json:
-        result.pop("rank_values", None)
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2)
+            )
+        else:
+            print("supervision: no incidents")
+        conservation = result["conservation"]
+        print(
+            f"conservation: {'ok' if conservation['ok'] else 'VIOLATED'} "
+            f"(events_match={conservation['events_match']}, "
+            f"epoch_regressions={conservation['epoch_regressions']}, "
+            f"residual_total={conservation['residual_total']})"
+        )
+        post = result.get("post_recovery")
+        if post is not None and post.get("oracle_ks") is not None:
+            print(
+                f"post-recovery: n={post['n_ranks']}, "
+                f"oracle ks={post['oracle_ks']:.3f}, "
+                f"oracle mean err={post['oracle_mean_err']:.3f}"
+            )
+        if args.chaos:
+            if not conservation["ok"]:
+                violations.append("conservation violated")
+            if conservation["epoch_regressions"]:
+                violations.append(
+                    f"{conservation['epoch_regressions']} unfenced zombie commits"
+                )
+            if result["audit"]["torn"]:
+                violations.append(f"{result['audit']['torn']} torn slots")
+            if result["audit"]["pending"]:
+                violations.append(
+                    f"{result['audit']['pending']} pending journal entries"
+                )
+            if supervision["takeovers"] < 1:
+                violations.append("no takeovers observed")
+    if args.chaos_manifest and result.get("chaos") is not None:
+        with open(args.chaos_manifest, "w") as fh:
+            json.dump(result["chaos"], fh, indent=2)
+        print(f"chaos manifest written to {args.chaos_manifest}")
+    if EXIT_ALL_SHARDS_DEAD in result["loadgen_exitcodes"]:
+        print("a load generator found every shard dead", file=sys.stderr)
+        raise SystemExit(EXIT_ALL_SHARDS_DEAD)
+    if violations:
+        print("chaos violations: " + "; ".join(violations), file=sys.stderr)
+        raise SystemExit(1)
 
 
 def cmd_experiments(args) -> None:

@@ -150,14 +150,9 @@ class ArrivalSchedule:
             return OP_INSERT, int(self.insert_labels[g // 2]), int(self.times_ns[g])
         return OP_DELETE, -1, int(self.times_ns[g])
 
-    def ops_block(self, gs: np.ndarray) -> Tuple[List[int], List[int], List[int]]:
-        """:meth:`op` over the global indices ``gs``, as three lists of
-        Python ints (opcodes, labels, intended-start offsets)."""
-        ops, labels, offsets = self.ops_columns(gs)
-        return ops.tolist(), labels.tolist(), offsets.tolist()
-
     def ops_columns(self, gs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`ops_block` as three int64 arrays."""
+        """:meth:`op` over the global indices ``gs``, as three int64 arrays
+        (opcodes, labels, intended-start offsets)."""
         inserts = gs % 2 == 0
         return (
             np.where(inserts, OP_INSERT, OP_DELETE),

@@ -754,9 +754,6 @@ class EventCollector(threading.Thread):
         self.error: Optional[BaseException] = None
         self.error_shard: Optional[int] = None
 
-    def attach_supervisor(self, supervisor) -> None:
-        self._supervisor = supervisor
-
     def _supervised(self) -> bool:
         return self._supervisor is not None and self._supervisor.active
 
@@ -885,7 +882,6 @@ def run_service(
     snapshot_every: int = 1024,
     rank_sample_every: int = 16,
     dead_after_s: float = 2.0,
-    chaos: Optional[Tuple[int, float]] = None,
     chaos_spec=None,
     supervise: bool = False,
     poll_s: float = 0.0002,
@@ -895,16 +891,28 @@ def run_service(
     Starts ``shards`` owner processes and ``workers`` loadgen processes,
     prefills, replays the schedule, tears down, audits every ring, and
     returns the metrics summary (throughput, tail latency, sampled rank
-    quality) plus the audit.  ``chaos=(shard, delay_s)`` SIGKILLs one
-    owner ``delay_s`` after traffic starts — the degraded-mode path with
-    no recovery.  ``supervise=True`` runs a :class:`Supervisor` that
-    respawns crashed owners via snapshot+journal recovery and fences
-    zombies; ``chaos_spec`` (a :class:`repro.service.supervisor.ChaosSpec`)
-    unleashes a deterministic seeded kill/stall/zombie schedule against
-    the live cluster, and the result then carries the full conservation
-    audit and recovery incident log.
+    quality) plus the audit.  ``supervise=True`` runs a
+    :class:`~repro.service.supervisor.Supervisor` that respawns crashed
+    owners via snapshot+journal recovery and fences zombies.
+    ``chaos_spec`` (a :class:`~repro.service.supervisor.ChaosSpec`)
+    fires a deterministic seeded kill/stall/zombie schedule at the live
+    cluster and puts its manifest under ``"chaos"``.  Without a
+    supervisor a killed owner stays dead (degraded mode: the loadgens
+    fail over to the survivors), so a spec with zombies, which only a
+    supervisor wakes, is refused before anything starts.
     """
     from repro.service.metrics import conservation_audit, summarize
+
+    zombies = chaos_spec is not None and chaos_spec.zombies > 0
+    if zombies and not supervise:
+        raise ValueError(
+            "a ChaosSpec with zombies needs supervise=True: "
+            "only a supervisor wakes a SIGSTOPped owner"
+        )
+    if supervise or chaos_spec is not None:
+        # Imported only when used, so a plain run's setup time never
+        # includes it.
+        from repro.service.supervisor import ChaosInjector, Supervisor
 
     schedule = spec.build()
     if state_capacity is None:
@@ -916,17 +924,11 @@ def run_service(
         state_capacity=state_capacity,
     )
     cluster = ServiceCluster(segment, poll_s=poll_s, snapshot_every=snapshot_every)
-    killer: Optional[threading.Timer] = None
     supervisor = None
     injector = None
     try:
         cluster.start()
-        collector = EventCollector(segment, cluster)
-        collector.start()
-        if supervise or chaos_spec is not None:
-            from repro.service.supervisor import ChaosInjector, Supervisor
-
-            zombies = bool(chaos_spec is not None and chaos_spec.zombies)
+        if supervise:
             supervisor = Supervisor(
                 segment,
                 cluster,
@@ -937,7 +939,9 @@ def run_service(
                 # in which a SIGSTOPped successor goes undiagnosed.
                 respawn_grace_s=max(2.0, 8.0 * dead_after_s),
             )
-            collector.attach_supervisor(supervisor)
+        collector = EventCollector(segment, cluster, supervisor)
+        collector.start()
+        if supervisor is not None:
             supervisor.start()
         control_router = Router(
             segment, beta=beta, gamma=gamma, policy=policy, rng=seed,
@@ -970,14 +974,7 @@ def run_service(
             )
             proc.start()
             loadgens.append(proc)
-        if chaos is not None:
-            kill_shard, delay_s = chaos
-            wait_s = max(0.0, (start_ns - time.monotonic_ns()) / _NS + delay_s)
-            killer = threading.Timer(wait_s, cluster.kill, args=(kill_shard,))
-            killer.start()
         if chaos_spec is not None:
-            from repro.service.supervisor import ChaosInjector
-
             injector = ChaosInjector(cluster, segment, chaos_spec, start_ns=start_ns)
             injector.start()
 
@@ -987,8 +984,6 @@ def run_service(
             if proc.is_alive():
                 proc.kill()
                 proc.join()
-        if killer is not None:
-            killer.join()
         if injector is not None:
             injector.join(timeout=60.0)
         if supervisor is not None:
@@ -1034,7 +1029,6 @@ def run_service(
                 "owner_exitcodes": owner_exits,
                 "loadgen_exitcodes": [p.exitcode for p in loadgens],
                 "residual_sizes": collector.residual_sizes,
-                "killed_shard": chaos[0] if chaos else None,
             }
         )
         if supervisor is not None:
@@ -1077,8 +1071,6 @@ def run_service(
             result["chaos"] = injector.manifest()
         return result
     finally:
-        if killer is not None:
-            killer.cancel()
         if injector is not None and injector.is_alive():
             injector.abort()
             injector.join(timeout=10.0)
@@ -1090,47 +1082,3 @@ def run_service(
                 proc.kill()
         segment.close()
         segment.unlink()
-
-
-def run_scaling_sweep(
-    shard_counts: Sequence[int],
-    workers: int,
-    spec: ScheduleSpec,
-    beta: float = 0.5,
-    gamma: float = 0.0,
-    policy: str = "mq",
-    seed: int = 0,
-) -> dict:
-    """Throughput scaling across shard-owner counts, same offered load.
-
-    The headline service claim: with real processes on real cores,
-    adding shard owners scales delete-min throughput — the axis the
-    simulator can model but never demonstrate.
-    """
-    rows = []
-    for shards in shard_counts:
-        res = run_service(
-            shards, workers, spec, beta=beta, gamma=gamma, policy=policy, seed=seed
-        )
-        rows.append(
-            {
-                "shards": shards,
-                "workers": workers,
-                "throughput_ops_s": res["throughput_ops_s"],
-                "delete_p99_ms": res["delete_p99_ms"],
-                "rank": res["rank"],
-                "torn": res["audit"]["torn"],
-            }
-        )
-    base = rows[0]["throughput_ops_s"]
-    for row in rows:
-        row["speedup"] = row["throughput_ops_s"] / base if base else float("nan")
-    return {
-        "beta": beta,
-        "gamma": gamma,
-        "policy": policy,
-        "mode": spec.mode,
-        "ops": spec.ops,
-        "prefill": spec.prefill,
-        "rows": rows,
-    }

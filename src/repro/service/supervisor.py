@@ -23,11 +23,13 @@ it is reaped does the successor start.  This is the lease/STONITH
 discipline from the multi-host orchestrator, applied in-process.
 
 The :class:`ChaosInjector` drives a deterministic seeded schedule of
-SIGKILLs, SIGSTOP stalls, and SIGSTOP zombies against the live cluster —
-the standing harness behind ``repro serve --chaos`` — and
-:func:`run_chaos_service` packages a whole supervised-chaos experiment,
-whose result carries the conservation audit proving no op was lost or
-double-served across the crash cycles.
+SIGKILLs, SIGSTOP stalls, and SIGSTOP zombies against the live cluster.
+Both run inside :func:`repro.service.server.run_service`:
+``supervise=True`` starts the supervisor and ``chaos_spec=`` the
+injector (``repro serve --chaos`` passes both).  A supervised chaos
+run's result carries the conservation audit proving no op was lost or
+double-served across the crash cycles; an unsupervised one (kills and
+stalls only) is the degraded-mode drill.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.service.loadgen import ScheduleSpec
 from repro.service.server import ServiceCluster, recover_shard_state
 from repro.service.shm import ServiceSegment
 from repro.utils.rngtools import as_generator
@@ -488,42 +489,3 @@ class ChaosInjector(threading.Thread):
             "planned": [dict(op) for op in self._ops],
             "events": [dict(ev) for ev in self.executed],
         }
-
-
-def run_chaos_service(
-    shards: int,
-    workers: int,
-    spec: ScheduleSpec,
-    chaos: Optional[ChaosSpec] = None,
-    beta: float = 1.0,
-    gamma: float = 0.0,
-    policy: str = "mq",
-    seed: int = 0,
-    dead_after_s: float = 0.35,
-    snapshot_every: int = 256,
-    rank_sample_every: int = 4,
-) -> dict:
-    """One supervised service run under a deterministic chaos schedule.
-
-    The standing harness behind ``repro serve --chaos``: a live cluster,
-    the seeded kill/stall/zombie schedule, supervised takeovers, and a
-    result whose ``conservation`` block proves (from the journal) that
-    no op was lost or double-served across the crash cycles and whose
-    ``supervision`` block records every incident.
-    """
-    from repro.service.server import run_service
-
-    return run_service(
-        shards,
-        workers,
-        spec,
-        beta=beta,
-        gamma=gamma,
-        policy=policy,
-        seed=seed,
-        supervise=True,
-        chaos_spec=ChaosSpec() if chaos is None else chaos,
-        dead_after_s=dead_after_s,
-        snapshot_every=snapshot_every,
-        rank_sample_every=rank_sample_every,
-    )

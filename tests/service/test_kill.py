@@ -10,13 +10,15 @@ import pytest
 
 from repro.service.loadgen import ScheduleSpec
 from repro.service.server import run_service
+from repro.service.supervisor import ChaosSpec
 
 
 @pytest.fixture(scope="module")
 def killed_run():
     # Paced traffic so the run outlives the kill: ~2s of offered load,
-    # owner 1 SIGKILLed 0.4s in, with a tight liveness threshold so the
-    # probe reroutes quickly.  Small request rings make the backpressure
+    # one owner (shard 1 at chaos seed 0) SIGKILLed 0.4s in and, with no
+    # supervisor, never respawned; a tight liveness threshold lets the
+    # probe reroute quickly.  Small request rings make the backpressure
     # failover path reachable too.
     spec = ScheduleSpec(mode="poisson", ops=3000, prefill=256, rate=1500.0, seed=21)
     return run_service(
@@ -27,7 +29,7 @@ def killed_run():
         seed=8,
         req_capacity=256,
         dead_after_s=0.3,
-        chaos=(1, 0.4),
+        chaos_spec=ChaosSpec(kills=1, zombies=0, seed=0, start_s=0.4, window_s=0.0),
         rank_sample_every=8,
     ), spec
 
@@ -39,7 +41,7 @@ class TestKilledShardOwner:
 
     def test_victim_died_by_sigkill_survivors_exited_clean(self, killed_run):
         res, _ = killed_run
-        assert res["killed_shard"] == 1
+        assert res["chaos"]["events"][0]["shard"] == 1
         assert res["owner_exitcodes"][1] == -9
         assert res["owner_exitcodes"][0] == 0
         assert res["owner_exitcodes"][2] == 0

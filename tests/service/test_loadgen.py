@@ -160,7 +160,7 @@ class TestLoadgenLoop:
         sched = ScheduleSpec(mode="poisson", ops=1001, prefill=16, rate=500.0, seed=4).build()
         for w in range(n_workers):
             stripe = sched.stripe(w, n_workers)
-            ops, labels, offsets = sched.ops_block(stripe)
+            ops, labels, offsets = (col.tolist() for col in sched.ops_columns(stripe))
             assert list(zip(ops, labels, offsets)) == [sched.op(int(g)) for g in stripe]
             assert all(type(v) is int for v in ops + labels + offsets)
 

@@ -13,8 +13,9 @@ from repro.core.rank import RankOracle
 from repro.service import metrics
 from repro.service.loadgen import ScheduleSpec
 from repro.service.metrics import merge_events, replay_ranks, replay_ranks_reference
+from repro.service.server import run_service
 from repro.service.shm import EV_DELETE, EV_EMPTY, EV_INSERT
-from repro.service.supervisor import ChaosSpec, run_chaos_service
+from repro.service.supervisor import ChaosSpec
 
 
 def merge_events_reference(events_by_shard):
@@ -164,11 +165,12 @@ class TestPostRecoveryRanks:
             return summarize(events_by_shard, schedule, *args, **kwargs)
 
         monkeypatch.setattr(metrics, "summarize", recording)
-        res = run_chaos_service(
+        res = run_service(
             shards=2, workers=1,
             spec=ScheduleSpec(ops=4000, prefill=256, rate=2000.0, seed=4),
-            chaos=ChaosSpec(kills=1, zombies=0, seed=4, start_s=0.2, window_s=0.3),
-            beta=1.0, seed=4,
+            beta=1.0, seed=4, dead_after_s=0.35, snapshot_every=256,
+            rank_sample_every=4, supervise=True,
+            chaos_spec=ChaosSpec(kills=1, zombies=0, seed=4, start_s=0.2, window_s=0.3),
         )
         post = res["post_recovery"]
         want = ranks_after_reference(recorded["merged"], recorded["universe"], post["after_ns"])

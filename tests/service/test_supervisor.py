@@ -18,6 +18,7 @@ duplicates — those push KS past 0.2 immediately) without flaking on
 scheduler noise the oracle never promised to capture.
 """
 
+import multiprocessing
 import struct
 
 import pytest
@@ -29,6 +30,7 @@ from repro.service.server import (
     Router,
     recover_shard_state,
     replay_journal,
+    run_service,
 )
 from repro.service.shm import (
     EV_DELETE,
@@ -37,7 +39,7 @@ from repro.service.shm import (
     J_STOP,
     ServiceSegment,
 )
-from repro.service.supervisor import ChaosSpec, run_chaos_service
+from repro.service.supervisor import ChaosSpec
 
 CHAOS_ORACLE_KS_GATE = 0.15  # clean-run envelope + margin; see module docstring
 SEEDS = (0, 1, 2)
@@ -58,9 +60,10 @@ def chaos_run(request):
     chaos = ChaosSpec(
         kills=3, stalls=0, zombies=1, seed=seed, start_s=0.25, window_s=1.2
     )
-    res = run_chaos_service(
-        shards=3, workers=2, spec=spec, chaos=chaos, beta=1.0, seed=seed,
+    res = run_service(
+        shards=3, workers=2, spec=spec, beta=1.0, seed=seed,
         dead_after_s=0.35, snapshot_every=256, rank_sample_every=4,
+        supervise=True, chaos_spec=chaos,
     )
     return res, spec, chaos
 
@@ -149,6 +152,10 @@ class TestChaosSpec:
         spec = ChaosSpec(kills=3, stalls=2, zombies=1, seed=7)
         assert spec.build(4) == spec.build(4)
         assert spec.build(4) != ChaosSpec(kills=3, stalls=2, zombies=1, seed=8).build(4)
+        # The unsupervised single-kill drill of test_kill.py: one kill,
+        # 0.4 s into traffic, on shard 1 of 3.
+        drill = ChaosSpec(kills=1, zombies=0, seed=0, start_s=0.4, window_s=0.0)
+        assert drill.build(3) == [{"id": 0, "kind": "kill", "shard": 1, "at_s": 0.4}]
 
     def test_build_schedules_every_fault_inside_window(self):
         spec = ChaosSpec(kills=2, stalls=1, zombies=1, seed=3, start_s=0.5, window_s=2.0)
@@ -170,6 +177,21 @@ class TestChaosSpec:
     def test_build_rejects_negative_counts(self):
         with pytest.raises(ValueError, match="non-negative"):
             ChaosSpec(kills=-1).build(2)
+
+    def test_zombies_without_a_supervisor_start_no_process(self, monkeypatch):
+        # Nothing would ever wake an unsupervised zombie, so run_service
+        # refuses the spec before it creates a segment or starts a process.
+        created = []
+        monkeypatch.setattr(ServiceSegment, "create", lambda *a, **k: created.append(a))
+        before = multiprocessing.active_children()
+        spec = ScheduleSpec(mode="poisson", ops=200, prefill=16, rate=0.0, seed=0)
+        with pytest.raises(ValueError, match="supervise=True"):
+            run_service(
+                shards=2, workers=1, spec=spec,
+                chaos_spec=ChaosSpec(kills=1, zombies=1, seed=0),
+            )
+        assert created == []
+        assert multiprocessing.active_children() == before
 
 
 @pytest.fixture
