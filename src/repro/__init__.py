@@ -10,8 +10,8 @@ The package is organized around the paper's layers:
     process, the Theorem 2 coupling, the Theorem 3 potential functions,
     the single-choice divergent baseline, and the round-robin reduction.
 ``repro.pqueues``
-    Sequential priority queues (binary/d-ary/pairing heaps, skiplist,
-    bucket queue) used as per-queue substrates.
+    The sequential binary heap each MultiQueue queue is built from,
+    and the sorted-list reference it is tested against.
 ``repro.ballsbins``
     Classical balls-into-bins processes (one/two/d-choice, (1+beta),
     weighted, graphical) connected to the analysis.

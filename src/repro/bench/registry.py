@@ -101,10 +101,6 @@ _SPECS: List[ExperimentSpec] = [
         "test_ablation_klsm.py",
     ),
     ExperimentSpec(
-        "abl-substrate", "extension", "wall-clock cost of PQ substrates",
-        "test_ablation_substrate.py",
-    ),
-    ExperimentSpec(
         "abl-delta", "extension", "delta-stepping vs relaxed-queue SSSP",
         "test_ablation_delta_stepping.py",
     ),

@@ -18,7 +18,7 @@ semantics those models linearize to.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 import numpy as np
 
@@ -44,9 +44,6 @@ class MultiQueue:
         Probability that a removal uses two choices; ``beta=1`` is the
         original MultiQueue, ``beta=0`` the divergent single-choice
         strategy.
-    queue_factory:
-        Zero-argument callable producing an empty
-        :class:`~repro.pqueues.protocol.PriorityQueue`.
     insert_probs:
         Optional biased insertion distribution over queues (length
         ``n_queues``, sums to 1).  ``None`` means uniform.
@@ -67,7 +64,6 @@ class MultiQueue:
         self,
         n_queues: int,
         beta: float = 1.0,
-        queue_factory: Callable[[], PriorityQueue] = BinaryHeap,
         insert_probs: Optional[np.ndarray] = None,
         rng: SeedLike = None,
     ) -> None:
@@ -75,7 +71,7 @@ class MultiQueue:
             raise ValueError(f"n_queues must be positive, got {n_queues}")
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta}")
-        self._queues: List[PriorityQueue] = [queue_factory() for _ in range(n_queues)]
+        self._queues: List[PriorityQueue] = [BinaryHeap() for _ in range(n_queues)]
         self._beta = beta
         self._rng = as_generator(rng)
         self._size = 0

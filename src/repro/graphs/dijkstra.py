@@ -1,7 +1,7 @@
-"""Sequential Dijkstra with pluggable priority queues.
+"""Sequential Dijkstra over an exact or a relaxed priority queue.
 
 Uses lazy deletion (push duplicates, skip stale pops) so it works with
-every queue in :mod:`repro.pqueues`, including the relaxed MultiQueue —
+every queue in :mod:`repro.pqueues` and with the relaxed MultiQueue —
 with a relaxed queue the algorithm silently degrades into a
 label-correcting method: still correct, but nodes may be settled more
 than once.  The result records how much extra work that caused, which is
@@ -11,7 +11,7 @@ the quantity the paper's Figure 3 trades against parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -59,7 +59,6 @@ _INF = np.iinfo(np.int64).max
 def dijkstra(
     graph: Graph,
     source: int,
-    pq_factory: Callable[[], PriorityQueue] = BinaryHeap,
     pq: Optional[PriorityQueue] = None,
 ) -> DijkstraResult:
     """Single-source shortest paths from ``source``.
@@ -70,12 +69,11 @@ def dijkstra(
         The weighted graph (positive integer weights).
     source:
         Source vertex.
-    pq_factory:
-        Zero-argument priority-queue constructor.
     pq:
-        Alternatively, a ready (possibly relaxed, e.g.
-        :class:`~repro.core.multiqueue.MultiQueue`) queue instance —
-        anything with ``push``/``pop``/``is_empty``-like duck typing.
+        The queue to run on, default a fresh
+        :class:`~repro.pqueues.BinaryHeap`: any
+        :class:`~repro.pqueues.PriorityQueue`, or a relaxed one such as
+        :class:`~repro.core.multiqueue.MultiQueue`.
 
     Correctness holds for any queue, exact or relaxed: a popped entry is
     only used if it matches the vertex's current best distance, and every
@@ -83,7 +81,7 @@ def dijkstra(
     """
     if not 0 <= source < graph.n_vertices:
         raise IndexError(f"source {source} out of range")
-    queue = pq if pq is not None else pq_factory()
+    queue = pq if pq is not None else BinaryHeap()
     dist = np.full(graph.n_vertices, _INF, dtype=np.int64)
     dist[source] = 0
     _push(queue, 0, source)

@@ -23,8 +23,7 @@ class Graph:
     """A weighted undirected graph as adjacency lists.
 
     ``adj[u]`` is a list of ``(v, weight)`` pairs; weights are positive
-    integers (so the monotone :class:`~repro.pqueues.BucketQueue` can be
-    used for Dijkstra).  Undirected edges appear in both endpoint lists.
+    integers.  Undirected edges appear in both endpoint lists.
     """
 
     n_vertices: int

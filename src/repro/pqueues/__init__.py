@@ -1,57 +1,32 @@
 """Sequential priority queues — the per-queue substrate of a MultiQueue.
 
 The paper's MultiQueue composes ``n`` *sequential* priority queues (the
-C++ implementation uses boost heaps).  This package provides several
-interchangeable implementations behind one protocol so benches can vary
-the substrate:
+C++ implementation uses boost heaps).  Its rank cost depends only on
+which queues the inserts and deletes pick, not on how each heap is
+built, so one heap serves every model:
 
 ==================  =============================  =========================
 Class               push / pop                      Notes
 ==================  =============================  =========================
-BinaryHeap          O(log n) / O(log n)            array-based, the default
-DaryHeap            O(log_d n) / O(d log_d n)      cache-friendlier for d=4
-PairingHeap         O(1) / O(log n) amortized      supports meld
-SkipListPQ          O(log n) expected              ordered iteration
+BinaryHeap          O(log n) / O(log n)            array-based, used by every
+                                                   model and by Dijkstra
 SortedListPQ        O(n) / O(1)                    bisect reference impl
-BucketQueue         O(1) / O(span) monotone        integer priorities
 ==================  =============================  =========================
 
-All are **min**-queues over ``(priority, item)`` entries; ties broken by
-insertion order (FIFO among equal priorities), making every
-implementation a *stable* priority queue with identical observable
-behaviour — property tests in ``tests/pqueues`` enforce cross-equality.
+Both are **min**-queues over ``(priority, item)`` entries; ties broken by
+insertion order (FIFO among equal priorities), making each a *stable*
+priority queue with identical observable behaviour — property tests in
+``tests/pqueues`` check ``BinaryHeap`` against the ``SortedListPQ`` oracle.
 """
 
 from repro.pqueues.protocol import Entry, PriorityQueue, QueueEmptyError
 from repro.pqueues.binary_heap import BinaryHeap
-from repro.pqueues.dary_heap import DaryHeap
-from repro.pqueues.pairing_heap import PairingHeap
-from repro.pqueues.skiplist import SkipListPQ
 from repro.pqueues.sorted_list import SortedListPQ
-from repro.pqueues.bucket_queue import BucketQueue
-from repro.pqueues.radix_heap import RadixHeap
-
-#: Mapping of short names to factories, used by CLI-ish bench parameters.
-QUEUE_FACTORIES = {
-    "binary": BinaryHeap,
-    "dary": DaryHeap,
-    "pairing": PairingHeap,
-    "skiplist": SkipListPQ,
-    "sorted": SortedListPQ,
-    "bucket": BucketQueue,
-    "radix": RadixHeap,
-}
 
 __all__ = [
     "Entry",
     "PriorityQueue",
     "QueueEmptyError",
     "BinaryHeap",
-    "DaryHeap",
-    "PairingHeap",
-    "SkipListPQ",
     "SortedListPQ",
-    "BucketQueue",
-    "RadixHeap",
-    "QUEUE_FACTORIES",
 ]

@@ -1,7 +1,7 @@
 """Sorted-list priority queue: the simple reference implementation.
 
 O(n) insert, O(1) pop-min.  Slow at scale but trivially correct, so the
-property tests use it as the oracle the fancier structures must match.
+property tests use it as the oracle the binary heap must match.
 """
 
 from __future__ import annotations

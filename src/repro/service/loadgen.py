@@ -2,10 +2,10 @@
 
 The schedule — every op's *intended* start time plus every insert's
 label — is a pure function of a :class:`ScheduleSpec`.  Each loadgen
-worker rebuilds the full schedule from the spec and takes its stripe
-(``worker_id::n_workers``), so the offered traffic is byte-identical no
-matter how many processes generate it, and a run is replayable from its
-parameters alone.
+worker rebuilds the full schedule from the spec and takes its stripe of
+insert/delete pairs (:meth:`ArrivalSchedule.stripe`), so the offered
+traffic is byte-identical no matter how many processes generate it, and
+a run is replayable from its parameters alone.
 
 Arrival processes are generated by intensity-integral inversion: draw
 unit-rate exponential masses, cumulative-sum them, and map through the
@@ -139,10 +139,17 @@ class ArrivalSchedule:
         )
 
     def stripe(self, worker_id: int, n_workers: int) -> np.ndarray:
-        """Global op indices owned by ``worker_id`` of ``n_workers``."""
+        """Global op indices owned by ``worker_id`` of ``n_workers``, ascending.
+
+        Workers own insert/delete pairs ``(2p, 2p + 1)`` with
+        ``p % n_workers == worker_id``, so each stripe alternates like the
+        whole schedule.  Striping single ops would leave half of an even
+        worker count inserting only, and the heap random-walking with the race.
+        """
         if not 0 <= worker_id < n_workers:
             raise ValueError(f"worker {worker_id} outside [0, {n_workers})")
-        return np.arange(worker_id, self.ops, n_workers)
+        g = np.arange(self.ops)
+        return g[(g // 2) % n_workers == worker_id]
 
     def op(self, g: int) -> Tuple[int, int, int]:
         """``(opcode, label, intended_start_offset_ns)`` of global op ``g``."""

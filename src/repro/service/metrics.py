@@ -203,12 +203,22 @@ def summarize(
     empties = sum(row["empties"] for row in per_shard)
     total_ops = inserts + deletes + empties
 
+    # Heap drift after each event: inserts minus deletes (empty ones
+    # included) committed so far, net of prefill.  Loadgens offer
+    # alternating insert/delete pairs, so it stays within the requests in
+    # flight plus one unpaired insert per loadgen.  One expression, so no
+    # per-event array outlives it into the rank replay.
+    prefill = len(schedule.prefill_labels)
+    drift_peak = np.cumsum(
+        np.where(merged[:, 1] == EV_INSERT, np.int8(1), np.int8(-1)), dtype=np.int64
+    ).max(initial=prefill) - prefill
     summary = {
         "ops_offered": schedule.ops,
-        "ops_processed": total_ops - len(schedule.prefill_labels),
+        "ops_processed": total_ops - prefill,
         "inserts": inserts,
         "deletes": deletes,
         "empties": empties,
+        "heap_drift_peak": int(drift_peak),
         "span_s": schedule.span_s,
         "wall_s": wall_s,
     }

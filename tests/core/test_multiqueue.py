@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.multiqueue import MultiQueue
-from repro.pqueues import PairingHeap, QueueEmptyError
+from repro.pqueues import QueueEmptyError
 
 
 class TestConstruction:
@@ -24,10 +24,6 @@ class TestConstruction:
         assert mq.beta == 0.7
         assert len(mq) == 0
         assert not mq
-
-    def test_custom_queue_factory(self):
-        mq = MultiQueue(2, queue_factory=PairingHeap, rng=1)
-        assert all(isinstance(q, PairingHeap) for q in mq.queues)
 
 
 class TestOperations:

@@ -1,4 +1,4 @@
-"""Tests for sequential Dijkstra across queue substrates."""
+"""Tests for sequential Dijkstra over exact and relaxed queues."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,20 @@ import pytest
 from repro.core.multiqueue import MultiQueue
 from repro.graphs.dijkstra import _INF, dijkstra
 from repro.graphs.generators import Graph, cycle_graph, grid_graph, road_network
-from repro.pqueues import QUEUE_FACTORIES, BucketQueue
+from repro.pqueues import BinaryHeap
+
+
+class _RecordingHeap(BinaryHeap):
+    """A binary heap that records the priority of every pop."""
+
+    def __init__(self):
+        super().__init__()
+        self.popped = []
+
+    def pop(self):
+        entry = super().pop()
+        self.popped.append(entry.priority)
+        return entry
 
 
 def _reference_distances(graph, source):
@@ -49,20 +62,20 @@ class TestCorrectness:
         with pytest.raises(IndexError):
             dijkstra(cycle_graph(4), 9)
 
-    @pytest.mark.parametrize("name", sorted(QUEUE_FACTORIES))
-    def test_all_queues_agree_with_reference(self, name):
+    def test_default_heap_agrees_with_reference(self):
         g = grid_graph(6, 6, max_weight=9, rng=1)
         ref = _reference_distances(g, 0)
-        factory = QUEUE_FACTORIES[name]
-        res = dijkstra(g, 0, pq_factory=factory)
+        res = dijkstra(g, 0)
         assert np.array_equal(res.dist, ref)
 
-    def test_bucket_queue_monotone_holds(self):
-        """Dijkstra satisfies the monotone property BucketQueue needs."""
+    def test_pops_are_monotone(self):
+        """With an exact queue Dijkstra pops distances in non-decreasing
+        order: every push is at least the distance just popped."""
         g = road_network(400, rng=2)
-        res = dijkstra(g, 0, pq_factory=BucketQueue)
-        ref = dijkstra(g, 0)
-        assert np.array_equal(res.dist, ref.dist)
+        heap = _RecordingHeap()
+        res = dijkstra(g, 0, pq=heap)
+        assert heap.popped == sorted(heap.popped)
+        assert len(heap.popped) == res.pops
 
     def test_relaxed_multiqueue_still_exact(self):
         """With a MultiQueue the algorithm degrades to label-correcting

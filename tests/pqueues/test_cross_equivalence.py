@@ -1,31 +1,15 @@
-"""Property tests: every implementation behaves identically.
+"""Property test: the binary heap behaves exactly like the oracle.
 
-The stable-FIFO contract makes all queues observationally equivalent, so
+The stable-FIFO contract makes the queues observationally equivalent, so
 hypothesis drives random op sequences against the trivially-correct
-SortedListPQ oracle and demands byte-identical behaviour from the rest.
+SortedListPQ oracle and demands byte-identical behaviour from BinaryHeap.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pqueues import (
-    BinaryHeap,
-    BucketQueue,
-    DaryHeap,
-    PairingHeap,
-    QueueEmptyError,
-    SkipListPQ,
-    SortedListPQ,
-)
-
-CANDIDATES = {
-    "binary": BinaryHeap,
-    "dary3": lambda: DaryHeap(3),
-    "dary4": lambda: DaryHeap(4),
-    "pairing": PairingHeap,
-    "skiplist": lambda: SkipListPQ(rng=0),
-}
+from repro.pqueues import BinaryHeap, QueueEmptyError, SortedListPQ
 
 # Op encoding: (True, priority, payload) = push; (False, _, _) = pop.
 ops_strategy = st.lists(
@@ -38,11 +22,10 @@ ops_strategy = st.lists(
 )
 
 
-@pytest.mark.parametrize("name", sorted(CANDIDATES))
 @settings(max_examples=60, deadline=None)
 @given(ops=ops_strategy)
-def test_matches_sorted_list_oracle(name, ops):
-    candidate = CANDIDATES[name]()
+def test_matches_sorted_list_oracle(ops):
+    candidate = BinaryHeap()
     oracle = SortedListPQ()
     for is_push, priority, payload in ops:
         if is_push:
@@ -61,44 +44,3 @@ def test_matches_sorted_list_oracle(name, ops):
     while len(oracle):
         assert candidate.pop() == oracle.pop()
 
-
-@settings(max_examples=60, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(st.booleans(), st.integers(min_value=0, max_value=500)),
-        max_size=100,
-    )
-)
-def test_bucket_queue_matches_oracle_non_monotone(ops):
-    """BucketQueue (non-monotone mode) against the oracle, ints only."""
-    candidate = BucketQueue(monotone=False)
-    oracle = SortedListPQ()
-    for is_push, priority in ops:
-        if is_push:
-            candidate.push(priority)
-            oracle.push(priority)
-        elif len(oracle):
-            assert candidate.pop() == oracle.pop()
-    while len(oracle):
-        assert candidate.pop() == oracle.pop()
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    batches=st.lists(
-        st.lists(st.integers(min_value=-100, max_value=100), max_size=20), max_size=6
-    )
-)
-def test_pairing_heap_meld_equals_combined_pushes(batches):
-    """Melding heaps yields the same drain order as pushing everything
-    into one heap (priorities only; payload order among ties may differ
-    across meld boundaries, so payloads use the priority itself)."""
-    melded = PairingHeap()
-    combined = []
-    for batch in batches:
-        part = PairingHeap()
-        for v in batch:
-            part.push(v)
-            combined.append(v)
-        melded.meld(part)
-    assert [e.priority for e in melded.drain()] == sorted(combined)

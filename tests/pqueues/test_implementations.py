@@ -1,23 +1,11 @@
-"""Per-implementation unit tests, parameterized across every queue."""
+"""Per-implementation unit tests, parameterized across both queues."""
 
 import pytest
 
-from repro.pqueues import (
-    QUEUE_FACTORIES,
-    BinaryHeap,
-    BucketQueue,
-    DaryHeap,
-    Entry,
-    PairingHeap,
-    QueueEmptyError,
-    SkipListPQ,
-    SortedListPQ,
-)
-
-ALL_FACTORIES = list(QUEUE_FACTORIES.values())
+from repro.pqueues import BinaryHeap, Entry, QueueEmptyError, SortedListPQ
 
 
-@pytest.fixture(params=ALL_FACTORIES, ids=list(QUEUE_FACTORIES.keys()))
+@pytest.fixture(params=[BinaryHeap, SortedListPQ], ids=["binary", "sorted"])
 def queue(request):
     return request.param()
 
@@ -101,109 +89,3 @@ class TestCommonBehaviour:
             queue.push(v)
         assert [e.priority for e in queue.drain()] == sorted(values)
 
-
-class TestDaryHeap:
-    def test_arity_validation(self):
-        with pytest.raises(ValueError):
-            DaryHeap(1)
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 8])
-    def test_various_arities_sort(self, d):
-        heap = DaryHeap(d)
-        values = list(range(50, 0, -1))
-        for v in values:
-            heap.push(v)
-        assert [e.priority for e in heap.drain()] == sorted(values)
-        assert DaryHeap(d).arity == d
-
-
-class TestPairingHeapMeld:
-    def test_meld_combines_contents(self):
-        a, b = PairingHeap(), PairingHeap()
-        for v in (5, 1, 3):
-            a.push(v)
-        for v in (4, 2, 6):
-            b.push(v)
-        a.meld(b)
-        assert len(a) == 6
-        assert len(b) == 0
-        assert [e.priority for e in a.drain()] == [1, 2, 3, 4, 5, 6]
-
-    def test_meld_with_empty(self):
-        a, b = PairingHeap(), PairingHeap()
-        a.push(1)
-        a.meld(b)
-        assert len(a) == 1
-
-    def test_meld_into_empty(self):
-        a, b = PairingHeap(), PairingHeap()
-        b.push(2)
-        a.meld(b)
-        assert a.pop().priority == 2
-
-    def test_meld_self_rejected(self):
-        a = PairingHeap()
-        with pytest.raises(ValueError):
-            a.meld(a)
-
-    def test_emptied_heap_reusable_after_meld(self):
-        a, b = PairingHeap(), PairingHeap()
-        b.push(3)
-        a.meld(b)
-        b.push(1)
-        assert b.pop().priority == 1
-
-
-class TestBucketQueue:
-    def test_requires_int_priorities(self):
-        bq = BucketQueue()
-        with pytest.raises(TypeError):
-            bq.push(1.5)
-        with pytest.raises(TypeError):
-            bq.push(True)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            BucketQueue().push(-1)
-
-    def test_monotone_violation_raises(self):
-        bq = BucketQueue(monotone=True)
-        bq.push(5)
-        bq.pop()
-        bq.push(7)
-        bq.pop()  # cursor now at 7
-        bq.push(9)
-        with pytest.raises(ValueError):
-            bq.push(3)
-
-    def test_non_monotone_mode_rewinds(self):
-        bq = BucketQueue(monotone=False)
-        bq.push(5)
-        assert bq.pop().priority == 5
-        bq.push(9)
-        bq.push(3)
-        assert bq.pop().priority == 3
-        assert bq.pop().priority == 9
-
-    def test_refill_after_empty(self):
-        bq = BucketQueue()
-        bq.push(4)
-        bq.pop()
-        bq.push(10)
-        assert bq.pop().priority == 10
-
-
-class TestSkipListSpecifics:
-    def test_ordered_iteration(self):
-        sl = SkipListPQ(rng=5)
-        for v in (4, 1, 3, 2):
-            sl.push(v)
-        assert [e.priority for e in sl] == [1, 2, 3, 4]
-        assert len(sl) == 4  # iteration does not consume
-
-    def test_deterministic_with_seed(self):
-        a, b = SkipListPQ(rng=8), SkipListPQ(rng=8)
-        for v in range(100):
-            a.push((v * 37) % 100)
-            b.push((v * 37) % 100)
-        assert [e.priority for e in a.drain()] == [e.priority for e in b.drain()]

@@ -125,6 +125,19 @@ class TestDeterminismAndStriping:
         merged = np.sort(np.concatenate(stripes))
         assert (merged == np.arange(sched.ops)).all()
 
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
+    def test_every_stripe_alternates_insert_delete(self, n_workers):
+        """Workers own insert/delete pairs, so each stripe runs the
+        schedule's alternation and no worker only inserts or only deletes."""
+        sched = ScheduleSpec(mode="poisson", ops=1001, rate=0.0, seed=5).build()
+        for w in range(n_workers):
+            stripe = sched.stripe(w, n_workers)
+            assert (np.diff(stripe) > 0).all()
+            kinds = sched.ops_columns(stripe)[0]
+            assert (kinds[0::2] == OP_INSERT).all()
+            assert (kinds[1::2] == OP_DELETE).all()
+        assert (sched.stripe(0, 1) == np.arange(sched.ops)).all()
+
     def test_schedule_independent_of_worker_count(self):
         """The offered traffic (op -> time, label) never depends on n_workers.
 

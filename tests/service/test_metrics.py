@@ -135,6 +135,28 @@ class TestReplayRanks:
         assert ranks.tolist() == [1, 2]
 
 
+class TestHeapDrift:
+    def test_peak_counts_empty_deletes_as_deletes(self):
+        # Prefill labels 0 and 1, then insert, empty delete, insert,
+        # delete, empty delete, insert.  Drift net of prefill after each
+        # event: -1 0 | 1 0 1 0 -1 0; it would peak at 2 if the empty
+        # deletes were not counted.
+        schedule = ScheduleSpec(ops=6, prefill=2, seed=0).build()
+        events = [
+            [
+                (EV_INSERT, 0, 1, 0, 1),
+                (EV_INSERT, 1, 2, 0, 1),
+                (EV_INSERT, 2, 3, 5, 6),
+                (EV_EMPTY, -1, 4, 5, 6),
+                (EV_INSERT, 3, 5, 5, 6),
+                (EV_DELETE, 0, 6, 5, 6),
+                (EV_EMPTY, -1, 7, 5, 6),
+                (EV_INSERT, 4, 8, 5, 6),
+            ]
+        ]
+        assert metrics.summarize(events, schedule, wall_s=1.0)["heap_drift_peak"] == 1
+
+
 def ranks_after_reference(merged, label_universe, after_t1_ns):
     """The per-event loop that scored post-recovery deletes before
     ``run_service`` reused ``replay_ranks``: the rank of every delete

@@ -1052,6 +1052,25 @@ class TestEndToEnd:
         assert sum(res["residual_sizes"]) == res["inserts"] - res["deletes"]
         assert res["rank"] is not None and res["rank"]["mean_rank"] >= 1.0
 
+    def test_closed_throttle_heap_drift_stays_in_flight(self):
+        """Two loadgens at closed throttle hold the heap at prefill.
+
+        Each loadgen offers alternating insert/delete pairs, so inserts
+        minus deletes committed so far (empty deletes included) can only
+        exceed prefill by the requests in flight plus one unpaired insert
+        per loadgen.  A stripe with one loadgen inserting and the other
+        deleting lets the heap random-walk far past that with their race.
+        """
+        shards, workers, req_capacity = 2, 2, 2048
+        spec = ScheduleSpec(mode="poisson", ops=400_000, prefill=512, rate=0.0, seed=0)
+        res = run_service(
+            shards=shards, workers=workers, spec=spec, beta=1.0, seed=0,
+            req_capacity=req_capacity,
+        )
+        assert res["ops_processed"] == spec.ops
+        assert res["conservation"]["events_match"]
+        assert 0 <= res["heap_drift_peak"] <= workers * shards * req_capacity + workers
+
     def test_single_policy_serves_exact_heap_order(self):
         spec = ScheduleSpec(mode="poisson", ops=400, prefill=64, rate=0.0, seed=13)
         res = run_service(
