@@ -376,7 +376,13 @@ class JobQueue:
         current = self.read_lease(key)
         if current is None or current.get("nonce") != nonce:
             return None  # lost the claim race to another worker
-        return Claim(key=key, nonce=nonce, token=token, takeover=stale)
+        claim = Claim(key=key, nonce=nonce, token=token, takeover=stale)
+        if self.is_settled(key):
+            # The check above ran before a winner's done marker landed,
+            # and its release let us in: the cell needs no claim.
+            self.release(claim)
+            return None
+        return claim
 
     def renew(self, claim: Claim) -> None:
         """Heartbeat: refresh the lease's mtime, verifying ownership."""

@@ -4,21 +4,25 @@
 step of the batch performs step ``t`` of every replica at once, with all
 per-replica state held in rectangular numpy arrays —
 
-* ``buf``  — ``(R, n, cap)`` ring buffers, one FIFO of labels per
-  (replica, queue).  Labels enter in increasing order (the labelled
-  process inserts consecutive integers; the exponential process inserts
-  global ranks), so each buffer is sorted by construction and its head
-  is the queue's top element.
-* ``head``/``size``/``tops`` — ``(R, n)`` ring positions, occupancies
-  and top labels.
+* ``next`` — ``(R, W)`` successor links, one label window per replica:
+  ``next[r, x & (W-1)]`` is the label after ``x`` in its queue.  Labels
+  enter in increasing order (the labelled processes insert consecutive
+  integers), so each queue is a sorted chain from its top.  ``W`` is a
+  power of two covering the live label span, from the oldest present
+  label to the newest one being linked, so no two live labels share a
+  slot; when that span outgrows ``W``, the live links move to a window
+  twice as wide (or wider).
+* ``tops``/``last``/``size`` — ``(R, n)`` top labels, newest labels and
+  occupancies.
 * a :class:`~repro.vector.index.BatchedRankIndex` holding the
   present-label sets of all replicas for exact rank-cost accounting.
 
 Each state array also has a 1-D view, and the per-step kernel addresses
-replica ``r``'s queue ``q`` as ``lin = r * n + q`` (and its ring slot as
-``lin * cap + pos``): a 1-D gather or scatter of ``R`` elements costs
-about half of the equivalent 2-D fancy index, and a lockstep step is
-made of a few dozen such ``R``-element operations.
+replica ``r``'s queue ``q`` as ``lin = r * n + q`` (and the link of its
+label ``x`` as ``r * W + (x & (W-1))``): a 1-D gather or scatter of
+``R`` elements costs about half of the equivalent 2-D fancy index, and a
+lockstep step is made of a few dozen such ``R``-element operations.
+A pop is ``top = next[top]``; an append links ``next[last]``.
 
 The (1+beta) removal kernel is fully vectorized: gather the two
 candidate tops of every replica (empty queues read as ``+inf``), pick
@@ -33,9 +37,9 @@ where that is provably exact (:meth:`VectorProcessBase._block_step`).
 A block is exact when every queue's count as a removal candidate in it
 (``i`` and ``j`` draws alike) is below the queue's size; an empty queue
 always fails.  No queue can then run dry inside the block: no pop
-redraws, no append changes a top, and every pop's successor is already
-queued at block start.  So the block's appends go first, in one grouped
-scatter, and its pops run in a short loop of gathers.  A block that
+redraws, no append changes a top, and no pop passes a queue's
+pre-block labels.  So the block's links are written first, in one
+grouped scatter, and its pops run in a short loop of gathers.  A block that
 fails the test runs the per-step kernel on the *same* draws, so choice
 sources never peek or rewind.  Sources serve block draws that consume
 their generators exactly like the per-step calls they replace; the
@@ -45,7 +49,6 @@ which keeps the reference trace-parity suite on the block kernel.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -69,32 +72,14 @@ _BELOW = np.array([(1 << t) - 1 for t in range(64)], dtype=np.uint64)
 _ONE = np.uint64(1)
 
 
-def _pow2_at_least(x: int) -> int:
-    return 1 << max(4, math.ceil(math.log2(max(1, x))))
+#: Largest capacity the int32 successor links can label.
+MAX_CAPACITY = 2**31 - 1
 
 
 def queue_key_type(n_queues: int) -> type:
     """Smallest dtype for queue ids: ``uint16`` (NumPy radix-sorts it
     stably) when they fit, else ``int64``."""
     return np.uint16 if n_queues <= 1 << 16 else np.int64
-
-
-def _group_by_key(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable grouping of ``keys`` by value.
-
-    Returns ``(order, rank)``: ``order`` lists the element indices
-    grouped by key, each group in index order, and ``rank[p]`` is how
-    many earlier elements share element ``order[p]``'s key.  ``uint16``
-    keys take NumPy's stable radix sort.
-    """
-    order = np.argsort(keys, kind="stable")
-    grouped = keys[order]
-    index = np.arange(len(keys), dtype=np.int64)
-    starts = np.zeros(len(keys), dtype=np.int64)
-    first = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
-    starts[first] = first
-    np.maximum.accumulate(starts, out=starts)
-    return order, index - starts
 
 
 def _earlier_smaller(removed: np.ndarray) -> np.ndarray:
@@ -130,6 +115,11 @@ class VectorProcessBase:
             raise ValueError(f"n_queues must be positive, got {n_queues}")
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
+        if capacity > MAX_CAPACITY:
+            raise ValueError(
+                f"capacity {capacity} exceeds {MAX_CAPACITY} (2**31 - 1), "
+                "the largest label an int32 successor link holds"
+            )
         if replicas <= 0:
             raise ValueError(f"replicas must be positive, got {replicas}")
         self.n_queues = n_queues
@@ -140,32 +130,12 @@ class VectorProcessBase:
         self._rows = np.arange(replicas, dtype=np.int64)
         #: Flat offset of each replica's row in the ``(R, n)`` arrays.
         self._row_base = self._rows * n_queues
-        self._buf: Optional[np.ndarray] = None
-        self._head: Optional[np.ndarray] = None
-        self._size: Optional[np.ndarray] = None
-        #: (R, n) current top label per queue, EMPTY where empty —
-        #: maintained incrementally so the removal kernel compares tops
-        #: with single gathers.
-        self._tops = np.full((replicas, n_queues), EMPTY, dtype=np.int64)
-        self._cap = 0
-        self._capmask = 0
-        self._capshift = 0
-        self._bind_views()
-        #: False only while every queue of every replica is known to be
-        #: non-empty.  Then no top can be EMPTY, so the kernel skips the
-        #: empty-queue checks: appends never change a top, and removal
-        #: needs no redraw test.  Set by any pop that empties a queue;
-        #: re-derived from the sizes once per chunk, and cleared by an
-        #: exact block (which leaves every queue non-empty).
-        self._may_have_empty = True
-        #: Upper bound on the current max queue size (grows by the most
-        #: labels an append or a block adds to one queue, re-tightened
-        #: only when it reaches the ring capacity),
-        #: so the append hot path checks a scalar instead of scanning.
-        self._watermark = 0
+        #: Block element ``t * R + r`` carries the block's ``t``-th label.
+        self._elem_step = np.repeat(np.arange(CHUNK_STEPS, dtype=np.int64), replicas)
         self._removal_steps = 0
         #: Per-replica count of removal redraws forced by empty queues.
         self.empty_redraws = np.zeros(replicas, dtype=np.int64)
+        self._alloc_from_assignment(np.empty((replicas, 0), dtype=np.int64))
 
     # -- state inspection ------------------------------------------------
 
@@ -181,8 +151,6 @@ class VectorProcessBase:
 
     def queue_sizes(self) -> np.ndarray:
         """Current ``(R, n)`` queue occupancies (a copy)."""
-        if self._size is None:
-            return np.zeros((self.replicas, self.n_queues), dtype=np.int64)
         return self._size.copy()
 
     def top_labels(self) -> np.ndarray:
@@ -197,104 +165,110 @@ class VectorProcessBase:
         """
         tops = self._tops
         counts = self._index.count_leq_grid(np.where(tops == EMPTY, 0, tops))
-        nonempty = self._size > 0 if self._size is not None else np.zeros_like(tops, bool)
+        nonempty = self._size > 0
         ranks = np.where(nonempty, counts, 0)
         occupied = np.maximum(nonempty.sum(axis=1), 1)
         return ranks.max(axis=1), ranks.sum(axis=1) / occupied
 
-    # -- buffer management ----------------------------------------------
-
-    def _bind_views(self) -> None:
-        """Point the flat views at the state arrays.
-
-        Every array is allocated C-contiguous, so each ``reshape(-1)`` is
-        a view; call this again whenever an array is replaced.
-        """
-        self._tops_flat = self._tops.reshape(-1)
-        if self._buf is not None:
-            self._buf_flat = self._buf.reshape(-1)
-            self._head_flat = self._head.reshape(-1)
-            self._size_flat = self._size.reshape(-1)
-
-    def _set_capacity(self, cap: int) -> None:
-        self._cap = cap
-        self._capmask = cap - 1
-        self._capshift = cap.bit_length() - 1
-        #: Flat slot of each ring's position 0.
-        self._ring_base = np.arange(self._tops.size, dtype=np.int64) << self._capshift
+    # -- queue state -----------------------------------------------------
 
     def _alloc_from_assignment(self, assign: np.ndarray) -> None:
-        """Build the ring buffers from an ``(R, m)`` queue assignment.
+        """Build the queues from an ``(R, m)`` queue assignment.
 
         ``assign[r, t]`` is the queue receiving label ``t`` in replica
-        ``r``; labels ``0..m-1`` are laid out in increasing order within
-        each queue (a stable grouping sort per replica).  Queue ids sort
+        ``r``.  A stable sort of each replica's queue ids lists its
+        labels queue by queue, each queue in increasing order, so every
+        label links to the one after it in that listing.  Queue ids sort
         as ``uint16`` keys when they fit, which takes NumPy's radix
         path; every temporary is one replica's ``(m,)`` row.
         """
         replicas, m = assign.shape
         n = self.n_queues
-        counts = np.empty((replicas, n), dtype=np.int64)
-        for r in range(replicas):
-            counts[r] = np.bincount(assign[r], minlength=n)
-        max_size = int(counts.max()) if m else 0
-        cap = _pow2_at_least(max_size + 8 + 4 * math.isqrt(max_size + 1))
-        self._buf = np.zeros((replicas, n, cap), dtype=np.int64)
-        self._head = np.zeros((replicas, n), dtype=np.int64)
-        self._size = counts
-        self._set_capacity(cap)
-        self._watermark = max_size
-        queue_slots = np.arange(n, dtype=np.int64) * cap
+        self._size = np.empty((replicas, n), dtype=np.int64)
+        #: (R, n) current top label per queue, EMPTY where empty —
+        #: maintained incrementally so the removal kernel compares tops
+        #: with single gathers.
+        self._tops = np.full((replicas, n), EMPTY, dtype=np.int64)
+        #: (R, n) newest label per queue; stale where the queue is empty.
+        self._last = np.zeros((replicas, n), dtype=np.int64)
+        links = np.zeros((replicas, 1 << (m + CHUNK_STEPS - 1).bit_length()), dtype=np.int32)
         key_type = queue_key_type(n)
         for r in range(replicas):
             keys = np.ascontiguousarray(assign[r], dtype=key_type)
-            # The rank-th label of queue q lands in slot q * cap + rank.
-            order, rank = _group_by_key(keys)
-            self._buf[r].reshape(-1)[np.repeat(queue_slots, counts[r]) + rank] = order
-        self._tops = np.where(counts > 0, self._buf[:, :, 0], EMPTY)
-        self._may_have_empty = bool(counts.min() == 0)
-        self._bind_views()
+            counts = np.bincount(keys, minlength=n)
+            self._size[r] = counts
+            if not m:
+                continue
+            order = np.argsort(keys, kind="stable")
+            # Labels 0..m-1 sit in the window unmasked.  A queue's newest
+            # label links on to the next queue's top, a link no pop uses.
+            links[r, order[:-1]] = order[1:]
+            ends = np.cumsum(counts)
+            filled = counts > 0
+            self._tops[r, filled] = order[ends[filled] - counts[filled]]
+            self._last[r, filled] = order[ends[filled] - 1]
+        #: Lower bound on the oldest present label; it never decreases.
+        self._oldest = 0
+        #: False only while every queue of every replica is known to be
+        #: non-empty.  Then no top can be EMPTY, so the kernel skips the
+        #: empty-queue checks: appends never change a top, and removal
+        #: needs no redraw test.  Set by any pop that empties a queue;
+        #: re-derived from the sizes once per chunk, and cleared by an
+        #: exact block (which leaves every queue non-empty).
+        self._may_have_empty = bool(self._size.min() == 0)
+        self._tops_flat = self._tops.reshape(-1)
+        self._size_flat = self._size.reshape(-1)
+        self._last_flat = self._last.reshape(-1)
+        self._set_links(links)
 
-    def _grow(self) -> None:
-        """Double ring capacity, re-linearizing every queue to head 0."""
-        cap = self._cap
-        self._rotate_to_front(slice(None))
-        new = np.zeros((self.replicas, self.n_queues, 2 * cap), dtype=np.int64)
-        new[:, :, :cap] = self._buf
-        self._buf = new
-        self._set_capacity(2 * cap)
-        self._bind_views()
+    def _set_links(self, links: np.ndarray) -> None:
+        """Install an ``(R, W)`` link window and its flat addressing."""
+        self._next = links
+        self._next_flat = links.reshape(-1)
+        self._window = links.shape[1]
+        self._wmask = self._window - 1
+        #: Flat offset of each replica's window, and of each cell's.
+        self._next_base = self._rows * self._window
+        self._cell_base = np.repeat(self._next_base, self.n_queues)
 
-    def _rotate_to_front(self, cells) -> None:
-        """Re-linearize the rings of flat queues ``cells`` (an index
-        array or a slice) to head 0."""
-        rings = self._buf.reshape(-1, self._cap)
-        order = (self._head_flat[cells, None] + np.arange(self._cap)) & self._capmask
-        rings[cells] = np.take_along_axis(rings[cells], order, axis=1)
-        self._head_flat[cells] = 0
+    def _cover(self, label: int, count: int) -> None:
+        """Make the window hold labels ``label .. label + count - 1``.
 
-    def _reserve(self, b: int) -> None:
-        """Make room for ``b`` more labels in every queue."""
-        if self._watermark + b > self._cap:
-            actual = int(self._size.max())
-            while actual + b > self._cap:
-                self._grow()
-            self._watermark = actual
-        self._watermark += b
+        Every present label lies in ``[_oldest, label)``.  The cached
+        bound is refreshed from the tops only when it is too low to
+        pass, and the window is widened only when the refreshed span
+        still does not fit.
+        """
+        end = label + count
+        if end - self._oldest <= self._window:
+            return
+        self._oldest = min(int(self._tops.min()), label)
+        span = end - self._oldest
+        if span <= self._window:
+            return
+        live = np.arange(self._oldest, label, dtype=np.int64)
+        links = np.zeros((self.replicas, 1 << (span - 1).bit_length()), dtype=np.int32)
+        links[:, live & (links.shape[1] - 1)] = self._next[:, live & self._wmask]
+        self._set_links(links)
 
     def _append(self, queues: np.ndarray, label: int) -> None:
         """Append ``label`` to per-replica ``queues`` (one per replica)."""
-        self._reserve(1)
+        self._cover(label, 1)
         lin = self._row_base + queues
         sizes = self._size_flat[lin]
-        pos = (self._head_flat[lin] + sizes) & self._capmask
-        self._buf_flat[(lin << self._capshift) + pos] = label
-        self._size_flat[lin] = sizes + 1
-        # Labels enter in increasing order, so the top changes only when
-        # the queue was empty (top EMPTY, the one value above label).
         if self._may_have_empty:
+            # An empty queue has no label to link from; its write lands
+            # on the new label's own slot, which its successor overwrites.
+            prev = np.where(sizes > 0, self._last_flat[lin], label)
+            # Labels enter in increasing order, so the top changes only
+            # when the queue was empty (top EMPTY, the one value above label).
             tops = self._tops_flat
             tops[lin] = np.minimum(tops[lin], label)
+        else:
+            prev = self._last_flat[lin]
+        self._next_flat[self._next_base + (prev & self._wmask)] = label
+        self._last_flat[lin] = label
+        self._size_flat[lin] = sizes + 1
 
     def _tops_at(self, rows: np.ndarray, queues: np.ndarray) -> np.ndarray:
         """Top label of ``queues[k]`` in replica ``rows[k]`` (EMPTY if none)."""
@@ -345,15 +319,14 @@ class VectorProcessBase:
         tops = self._tops_flat
         # A queue's head is its top, so the popped label is read from tops.
         labels = tops[lin]
-        heads = self._head_flat[lin] + 1
         sizes = self._size_flat[lin] - 1
-        self._head_flat[lin] = heads
         self._size_flat[lin] = sizes
-        successor = self._buf_flat[(lin << self._capshift) + (heads & self._capmask)]
+        successor = self._next_flat[self._next_base + (labels & self._wmask)]
         if not self._may_have_empty and sizes.min() > 0:
             tops[lin] = successor
         else:
-            tops[lin] = np.where(sizes > 0, successor, EMPTY)
+            # Widened first: int32 links would wrap EMPTY to -1.
+            tops[lin] = np.where(sizes > 0, successor.astype(np.int64), EMPTY)
             self._may_have_empty = True
         self._removal_steps += 1
         return labels, pick
@@ -366,49 +339,52 @@ class VectorProcessBase:
         label: int,
         lin_ins: np.ndarray,
         two: np.ndarray,
-        lin_i: np.ndarray,
-        lin_j: np.ndarray,
+        lin_ij: np.ndarray,
     ) -> Optional[np.ndarray]:
         """``b`` insert+remove steps at once, when that is provably exact.
 
         Step ``t`` appends ``label + t`` to flat queue ``lin_ins[t, r]``
-        and pops the better of ``lin_i[t, r]`` / ``lin_j[t, r]`` (the
-        ``two`` coin gating ``j``); the popped labels go to ``out[t]``.
+        and pops the better of ``lin_ij[0, t, r]`` / ``lin_ij[1, t, r]``
+        (the ``two`` coin gating the second); the popped labels go to
+        ``out[t]``.
 
         The block is exact when every queue's count as a removal
         candidate in it is below the queue's size (an empty queue always
         fails).  Then no queue runs dry, so no pop redraws and no append
-        changes a top, and every pop's successor is already queued at
-        block start — so all ``b * R`` appends go first, in one grouped
-        scatter, and the pops follow in a short loop that tracks each
-        head as a flat buffer slot.  Sizes and heads are settled once at
-        the end.  Returns the ``(b, R)`` flat queues popped, or ``None``
-        — with nothing changed — when the block is not exact.
+        changes a top, and no pop passes a queue's pre-block labels —
+        so all ``b * R`` links are written first, in one grouped
+        scatter, and the pops follow in a short loop of gathers.  Sizes
+        are settled once at the end.  Returns the ``(b, R)`` flat
+        queues popped, or ``None`` — with nothing changed — when the
+        block is not exact.
         """
         cells = self._size_flat.size
-        seen = np.bincount(lin_i.reshape(-1), minlength=cells)
-        seen += np.bincount(lin_j.reshape(-1), minlength=cells)
-        if not (seen < self._size_flat).all():
+        if not (np.bincount(lin_ij.reshape(-1), minlength=cells) < self._size_flat).all():
             return None
         b, replicas = lin_ins.shape
+        self._cover(label, b)
+        nxt, mask = self._next_flat, self._wmask
+        # Group the appends by queue, each group in label order: every
+        # label links from the one before it, a group's first from the
+        # queue's newest label, and a group's last becomes the newest.
         keys = lin_ins.reshape(-1)  # element t * R + r carries label + t
-        order, rank = _group_by_key(keys.astype(queue_key_type(cells)))
-        self._reserve(int(rank.max()) + 1)
-        head, buf, tops = self._head_flat, self._buf_flat, self._tops_flat
-        mask = self._capmask
-        # A head slot may not step past its ring's end inside the block:
-        # rotate each ring that could wrap so its head is at position 0.
-        pos = head & mask
-        wrap = np.flatnonzero(pos + seen > mask)
-        if len(wrap):
-            self._rotate_to_front(wrap)
-            pos[wrap] = 0
-        slots = self._ring_base + pos
-
+        order = np.argsort(keys.astype(queue_key_type(cells)), kind="stable")
         dest = keys[order]
-        tail = (head[dest] + self._size_flat[dest] + rank) & mask
-        buf[self._ring_base[dest] + tail] = label + order // replicas
+        labels = self._elem_step[order]
+        labels += label
+        starts = np.empty(len(dest), dtype=bool)
+        starts[0] = True
+        np.not_equal(dest[1:], dest[:-1], out=starts[1:])
+        first = np.flatnonzero(starts)
+        prev = np.empty_like(labels)
+        prev[1:] = labels[:-1]
+        prev[first] = self._last_flat[dest[first]]
+        nxt[self._cell_base[dest] + (prev & mask)] = labels
+        newest = np.append(first[1:], len(dest)) - 1
+        self._last_flat[dest[newest]] = labels[newest]
 
+        tops, base = self._tops_flat, self._next_base
+        lin_i, lin_j = lin_ij
         gated = not two.all()
         picks = []
         for t in range(b):
@@ -418,14 +394,13 @@ class VectorProcessBase:
                 better &= two[t]
             lin = np.where(better, lj, li)
             picks.append(lin)
-            out[t] = tops[lin]
-            slot = slots[lin] + 1
-            slots[lin] = slot
-            tops[lin] = buf[slot]
+            popped = tops[lin]
+            out[t] = popped
+            tops[lin] = nxt[base + (popped & mask)]
         picks = np.stack(picks)
-        taken = np.bincount(picks.reshape(-1), minlength=cells)
-        head += taken
-        self._size_flat += np.bincount(keys, minlength=cells) - taken
+        self._size_flat += np.bincount(keys, minlength=cells) - np.bincount(
+            picks.reshape(-1), minlength=cells
+        )
         self._may_have_empty = False
         self._removal_steps += b
         return picks

@@ -95,8 +95,6 @@ class VectorSequentialProcess(VectorProcessBase):
             raise RuntimeError(
                 f"capacity {self.capacity} exhausted; size the process larger"
             )
-        if self._buf is None:
-            self._alloc_from_assignment(np.empty((self.replicas, 0), dtype=np.int64))
         queues = self._draw_insert_queues(label)
         self._append(queues, label)
         self._index.insert_all(label)
@@ -107,8 +105,8 @@ class VectorSequentialProcess(VectorProcessBase):
         """Insert ``m`` consecutive labels (the paper's initial buffer).
 
         On a fresh process this takes a bulk path: the ``m`` per-replica
-        queue choices are collected first, then the ring buffers and the
-        rank index are built in one shot.
+        queue choices are collected first, then the queues and the rank
+        index are built in one shot.
         """
         if m < 0:
             raise ValueError(f"m must be non-negative, got {m}")
@@ -116,7 +114,7 @@ class VectorSequentialProcess(VectorProcessBase):
             raise RuntimeError(
                 f"capacity {self.capacity} exhausted; size the process larger"
             )
-        if self._buf is None and self._next_label == 0:
+        if self._next_label == 0:
             # Step-major, so each draw is one contiguous row write.
             choices = np.empty((m, self.replicas), dtype=queue_key_type(self.n_queues))
             t = 0
@@ -156,8 +154,6 @@ class VectorSequentialProcess(VectorProcessBase):
         if sample_every is not None and sample_every <= 0:
             raise ValueError(f"sample_every must be positive, got {sample_every}")
         self.prefill(prefill)
-        if self._buf is None:
-            self._alloc_from_assignment(np.empty((self.replicas, 0), dtype=np.int64))
         if self._next_label + steps > self.capacity:
             raise RuntimeError(
                 f"capacity {self.capacity} exhausted; size the process larger"
@@ -193,9 +189,11 @@ class VectorSequentialProcess(VectorProcessBase):
             return 1
         ins, two, i, j = block
         base = self._row_base
-        lin_i, lin_j = base + i, base + j
         b = len(i)
-        picks = self._block_step(out, self._next_label, base + ins, two, lin_i, lin_j)
+        lin_ij = np.empty((2, b, self.replicas), dtype=np.int64)
+        np.add(i, base, out=lin_ij[0])
+        np.add(j, base, out=lin_ij[1])
+        picks = self._block_step(out, self._next_label, base + ins, two, lin_ij)
         if picks is None:
             for t in range(b):
                 out[t] = self._step(ins[t], (two[t], i[t], j[t]))

@@ -162,6 +162,25 @@ class TestClaims:
         assert queue.commit(claim, queue.by_key[key], {"v": 1}) == "committed"
         assert queue.try_claim(key, "w1") is None
 
+    def test_claim_racing_a_commit_is_given_back(self, tmp_path, monkeypatch):
+        # w1's settled check runs just before w0's done marker lands, and
+        # w0's release then opens the lease to w1.  A claim that came out
+        # of that would self-heal from the cache and be fenced at the
+        # marker: a fenced write with no zombie behind it.
+        queue = make_queue(tmp_path)
+        key = queue.keys[0]
+        claim = queue.try_claim(key, "w0")
+        assert queue.commit(claim, queue.by_key[key], {"v": 1}) == "committed"
+        settled = queue.is_settled
+        stale_views = [False]
+        monkeypatch.setattr(
+            queue, "is_settled", lambda k: stale_views.pop() if stale_views else settled(k)
+        )
+        assert queue.try_claim(key, "w1") is None
+        assert queue.read_lease(key)["state"] == "released"
+        assert queue.read_done(key)["token"] == claim.token
+        assert queue.fenced_records(key) == []
+
     def test_tokens_stay_monotonic_across_many_turnovers(self, tmp_path):
         queue = make_queue(tmp_path)
         key = queue.keys[0]

@@ -41,34 +41,23 @@ class PerStepOnly:
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Count exact and fallback blocks, ring rotations, and grows inside blocks."""
-    seen = {"exact": 0, "fallback": 0, "rotate": 0, "grow_in_block": 0}
-    inside = []
+    """Count exact and fallback blocks, and link-window growths."""
+    seen = {"exact": 0, "fallback": 0, "grow": 0}
     block_step = VectorProcessBase._block_step
-    rotate = VectorProcessBase._rotate_to_front
-    grow = VectorProcessBase._grow
+    cover = VectorProcessBase._cover
 
     def spied_block_step(proc, *args):
-        inside.append(True)
-        try:
-            picks = block_step(proc, *args)
-        finally:
-            inside.pop()
+        picks = block_step(proc, *args)
         seen["fallback" if picks is None else "exact"] += 1
         return picks
 
-    def spied_rotate(proc, cells):
-        # A grow rotates every ring (a slice); count only a block's rings.
-        seen["rotate"] += isinstance(cells, np.ndarray)
-        rotate(proc, cells)
-
-    def spied_grow(proc):
-        seen["grow_in_block"] += bool(inside)
-        grow(proc)
+    def spied_cover(proc, label, count):
+        window = proc._window
+        cover(proc, label, count)
+        seen["grow"] += proc._window > window
 
     monkeypatch.setattr(VectorProcessBase, "_block_step", spied_block_step)
-    monkeypatch.setattr(VectorProcessBase, "_rotate_to_front", spied_rotate)
-    monkeypatch.setattr(VectorProcessBase, "_grow", spied_grow)
+    monkeypatch.setattr(VectorProcessBase, "_cover", spied_cover)
     return seen
 
 
@@ -109,8 +98,6 @@ class TestBlockKernelMatchesPerStep:
         blocked, stepped = _pair(VectorSequentialProcess, beta=beta)
         _assert_same(blocked, stepped)
         assert spy["exact"] and spy["fallback"], spy
-        if beta > 0:
-            assert spy["rotate"], "no ring had to rotate before a block"
 
     def test_biased_insertion(self, spy):
         probs = biased_insert_probs(N, 0.5)
@@ -126,11 +113,12 @@ class TestBlockKernelMatchesPerStep:
         np.testing.assert_array_equal(br.mean_top_ranks, sr.mean_top_ranks)
         assert spy["exact"], spy
 
-    def test_grow_inside_a_block(self, spy):
-        # A one-label-per-queue bulk prefill sizes the rings small; the
-        # insert()-driven fill leaves some ring too full for a block.
+    def test_blocks_after_a_window_grow(self, spy):
+        # A one-label-per-queue bulk prefill sizes the link window for
+        # 2N labels; the insert()-driven fill must widen it before the
+        # blocks run.
         _assert_same(*_pair(VectorSequentialProcess, bulk=N))
-        assert spy["grow_in_block"], spy
+        assert spy["grow"] and spy["exact"], spy
 
     def test_round_robin(self, spy):
         blocked, stepped = _pair(VectorRoundRobinProcess, beta=0.5)
@@ -153,7 +141,7 @@ def test_a_queue_that_can_run_dry_fails_the_block(spy):
     )
     proc = VectorSequentialProcess(2, 4, 1, source=source)
     result = proc.run_steady_state(3, 1)
-    assert spy == {"exact": 0, "fallback": 1, "rotate": 0, "grow_in_block": 0}
+    assert spy == {"exact": 0, "fallback": 1, "grow": 0}
     np.testing.assert_array_equal(result.ranks, [[1]])
     np.testing.assert_array_equal(proc.queue_sizes(), [[0, 3]])
     np.testing.assert_array_equal(proc.top_labels(), [[EMPTY, 1]])

@@ -1,45 +1,37 @@
-"""The vector engine's ring-buffer prefill against the per-replica loop
-it replaced.
+"""The vector engine's bulk prefill against a plain per-replica loop.
 
 ``_alloc_from_assignment`` groups each replica's labels by queue with a
-stable sort of ``uint16`` keys (``int64`` above 65536 queues) and writes
-them through flat slot indices.  The reference below is the earlier
-implementation, kept verbatim: a stable ``int64`` argsort, a
-``searchsorted`` for each queue's start, and a 3-D scatter.
+stable sort of ``uint16`` keys (``int64`` above 65536 queues) and links
+every label to the next one in that grouping.  The reference below lists
+each queue's labels in order with plain Python lists; walking the
+successor links from every top must reproduce each list.
 """
-
-import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vector.engine import (
-    EMPTY,
-    VectorProcessBase,
-    _pow2_at_least,
-    queue_key_type,
-)
+from repro.vector.engine import EMPTY, VectorProcessBase, queue_key_type
 
 
-def _reference_alloc(assign: np.ndarray, n: int):
-    """``(buf, counts, tops, cap, max_size)`` as the old loop built them."""
-    replicas, m = assign.shape
-    counts = np.zeros((replicas, n), dtype=np.int64)
-    np.add.at(counts, (np.arange(replicas)[:, None], assign), 1)
-    max_size = int(counts.max()) if m else 0
-    cap = _pow2_at_least(max_size + 8 + 4 * math.isqrt(max_size + 1))
-    buf = np.zeros((replicas, n, cap), dtype=np.int64)
-    labels = np.arange(m, dtype=np.int64)
-    queue_range = np.arange(n)
-    for r in range(replicas):
-        order = np.argsort(assign[r], kind="stable")
-        grouped = assign[r][order]
-        starts = np.searchsorted(grouped, queue_range)
-        within = labels - starts[grouped]
-        buf[r, grouped, within] = order
-    tops = np.where(counts > 0, buf[:, :, 0], EMPTY)
-    return buf, counts, tops, cap, max_size
+def _reference_queues(assign: np.ndarray, n: int):
+    """``lists[r][q]``: the labels of replica ``r``'s queue ``q``, in order."""
+    lists = []
+    for row in assign.tolist():
+        queues = [[] for _ in range(n)]
+        for label, q in enumerate(row):
+            queues[q].append(label)
+        lists.append(queues)
+    return lists
+
+
+def _walk(proc, r: int, top: int, size: int):
+    """``size`` labels from ``top`` on, following replica ``r``'s links."""
+    labels, x = [], top
+    for _ in range(size):
+        labels.append(x)
+        x = int(proc._next[r, x & (proc._window - 1)])
+    return labels
 
 
 @st.composite
@@ -47,8 +39,8 @@ def assignments(draw):
     """An ``(R, m)`` queue assignment plus the layout to pass it in.
 
     Labels go to a drawn subset of the queues, so most draws leave some
-    queues without a label.  Above the ``uint16`` key limit the ring
-    buffers are ``n * cap`` words per replica, so those draws stay tiny.
+    queues without a label.  Above the ``uint16`` key limit the
+    ``(R, n)`` state is 65537 words per replica, so those draws stay tiny.
     """
     n = draw(st.sampled_from([1, 2, 7, 300, 1 << 16, (1 << 16) + 1]))
     large = n >= 1 << 16
@@ -74,18 +66,23 @@ def test_alloc_matches_reference_loop(case):
         given_assign = assign
     proc = VectorProcessBase(n, max(m, 1), replicas, source=None)
     proc._alloc_from_assignment(given_assign)
-    buf, counts, tops, cap, max_size = _reference_alloc(assign, n)
-    assert proc._cap == cap
-    assert proc._watermark == max_size
-    np.testing.assert_array_equal(proc._buf, buf)
-    np.testing.assert_array_equal(proc._size, counts)
-    np.testing.assert_array_equal(proc._tops, tops)
-    assert not proc._head.any()
-    assert proc._may_have_empty == bool((counts == 0).any())
+    lists = _reference_queues(assign, n)
+    window = proc._window
+    assert window & (window - 1) == 0 and window >= m
+    sizes = np.array([[len(q) for q in queues] for queues in lists])
+    np.testing.assert_array_equal(proc._size, sizes)
+    for r, queues in enumerate(lists):
+        for q in set(assign[r].tolist()):
+            labels = queues[q]
+            assert proc._tops[r, q] == labels[0]
+            assert proc._last[r, q] == labels[-1]
+            assert _walk(proc, r, labels[0], len(labels)) == labels
+    np.testing.assert_array_equal(proc._tops == EMPTY, sizes == 0)
+    assert proc._may_have_empty == bool((sizes == 0).any())
     # The flat views alias the rebuilt state arrays.
     for flat, full in (
-        (proc._buf_flat, proc._buf),
-        (proc._head_flat, proc._head),
+        (proc._next_flat, proc._next),
+        (proc._last_flat, proc._last),
         (proc._size_flat, proc._size),
         (proc._tops_flat, proc._tops),
     ):

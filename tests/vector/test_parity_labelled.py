@@ -103,24 +103,26 @@ class TestExactTraceParity:
             np.testing.assert_array_equal(result.ranks[:, r], trace.ranks)
 
     def test_grow_mid_run_matches_reference(self, monkeypatch):
-        # A small bulk prefill sizes the rings for ~2 labels per queue;
-        # the insert()-driven fill that follows must double them, and
-        # the removals after it run on the regrown rings.
+        # A small bulk prefill sizes the link window at 128 labels; the
+        # insert()-driven fill that follows must widen it, and the
+        # removals after it run on the regrown window.
         grows = []
-        grow = VectorProcessBase._grow
+        cover = VectorProcessBase._cover
 
-        def counted_grow(proc):
-            grows.append(proc._cap)
-            grow(proc)
+        def counted_cover(proc, label, count):
+            window = proc._window
+            cover(proc, label, count)
+            if proc._window > window:
+                grows.append(proc._window)
 
-        monkeypatch.setattr(VectorProcessBase, "_grow", counted_grow)
+        monkeypatch.setattr(VectorProcessBase, "_cover", counted_cover)
         n, first, prefill, steps = 4, 8, 400, 150
         cap = prefill + steps
         mirror = ReferenceMirror(n, 0.6, SEEDS)
         vec = VectorSequentialProcess(n, cap, len(SEEDS), beta=0.6, source=mirror)
         vec.prefill(first)
         vec.prefill(prefill - first)
-        assert grows, "the insert-driven fill never grew the rings"
+        assert grows, "the insert-driven fill never grew the window"
         steady = vec.run_steady_state(0, steps)
         drained = vec.run_drain(prefill)
         assert vec.present_count == 0
@@ -131,6 +133,33 @@ class TestExactTraceParity:
             ranks = [ref.remove().rank for _ in range(prefill)]
             np.testing.assert_array_equal(drained.ranks[:, r], ranks)
             assert drained.empty_redraws[r] == ref.empty_redraws
+
+    def test_single_choice_regrows_the_window_mid_run(self, monkeypatch):
+        # Theorem 6: under single choice the oldest label falls ever
+        # further behind, so the live label span outgrows the window
+        # again and again while removals run (W: 128 -> 1024 here).
+        grows = []
+        cover = VectorProcessBase._cover
+
+        def counted_cover(proc, label, count):
+            window = proc._window
+            cover(proc, label, count)
+            if proc._window > window:
+                grows.append(label)
+
+        monkeypatch.setattr(VectorProcessBase, "_cover", counted_cover)
+        n, prefill, steps = 64, 64, 6000
+        cap = prefill + steps
+        mirror = ReferenceMirror(n, 0.0, SEEDS)
+        vec = VectorSingleChoiceProcess(n, cap, len(SEEDS), source=mirror)
+        result = vec.run_steady_state(prefill, steps)
+        assert len([label for label in grows if label > prefill]) >= 3, grows
+        for r, seed in enumerate(SEEDS):
+            ref = SingleChoiceProcess(n, cap, rng=np.random.default_rng(seed))
+            trace = ref.run_steady_state(prefill, steps)
+            np.testing.assert_array_equal(result.ranks[:, r], trace.ranks)
+            np.testing.assert_array_equal(vec.queue_sizes()[r], ref.queue_sizes())
+            assert result.empty_redraws[r] == ref.empty_redraws
 
     def test_round_robin_matches_reference(self):
         n, prefill, steps = 8, 400, 150
@@ -170,6 +199,10 @@ class TestVectorApiEdges:
         vec = VectorSequentialProcess(4, 100, 3, rng=0)
         with pytest.raises(RuntimeError, match="capacity"):
             vec.run_steady_state(80, 40)
+
+    def test_capacity_beyond_int32_links_refused(self):
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            VectorSequentialProcess(4, 2**31, 1, rng=0)
 
     def test_drain_empty_raises(self):
         vec = VectorSequentialProcess(4, 50, 3, rng=0)
